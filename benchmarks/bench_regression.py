@@ -26,8 +26,10 @@ writes ``BENCH_driver.json`` in a stable schema:
   rebuild fires, and the wrapper's steady-state per-op update I/O must stay
   within 10% of the bare run -- plus a full ``verify_index`` pass over the
   wrapped index at the end of the stream;
-* ``parallel``: the CT build serial vs. a 4-process pool (must be
-  byte-identical; wall clocks per phase), and the sharded lazy workload at
+* ``build``: one CT build -- seconds, the four phase timings, the three
+  region counts and the Phase-2b work counts (``density_tests`` repeats
+  exactly for a trace; the timings are wall clock);
+* ``parallel``: the sharded lazy workload at
   1 (inline) / 2 / 4 process workers with batched dispatch -- update/query
   throughput, the 4-worker speedup, and the per-op I/O delta against the
   inline router (must stay within 5%; worker pools change *where* work
@@ -116,12 +118,11 @@ from repro.workload import (  # noqa: E402
     make_index,
 )
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 ENGINE_BATCH = 64
 ENGINE_SHARDS = 4
 DURABILITY_SYNC = "group:8"
-PARALLEL_BUILD_WORKERS = 4
 PARALLEL_WORKER_COUNTS = (2, 4)
 PARALLEL_BATCH = 256
 REBALANCE_SHARDS = 4
@@ -231,27 +232,16 @@ def measure_noop_hook_cost(n_events: int) -> float:
     return perf_counter() - t0
 
 
-def time_ct_build(bundle, workers):
-    """One full CT build at ``workers``; returns (seconds, report, document).
-
-    The document is the canonical JSON snapshot text -- the determinism
-    contract says the parallel build's must equal the serial build's byte
-    for byte.
-    """
+def time_ct_build(bundle):
+    """One full CT build; returns (seconds, report)."""
     from repro.core.builder import CTRTreeBuilder
-    from repro.storage.snapshot import build_document
 
-    builder = CTRTreeBuilder(
-        query_rate=bundle.scale.base_update_rate / 100.0, workers=workers
-    )
-    pager = Pager()
+    builder = CTRTreeBuilder(query_rate=bundle.scale.base_update_rate / 100.0)
     t0 = perf_counter()
-    tree, report = builder.build(
-        pager, bundle.domain, bundle.histories(), bundle.current()
+    _tree, report = builder.build(
+        Pager(), bundle.domain, bundle.histories(), bundle.current()
     )
-    total_s = perf_counter() - t0
-    document = json.dumps(build_document(tree, kind="ct"), sort_keys=True)
-    return total_s, report, document
+    return perf_counter() - t0, report
 
 
 def run_parallel_sharded(bundle, workers, *, mode="process"):
@@ -1006,55 +996,46 @@ def main(argv=None) -> int:
         f"verify {'OK' if verdict.ok else 'FAILED'})"
     )
 
-    # Parallel: the worker-pool execution mode.  (a) The CT build, serial vs
-    # process-pool -- the contract is bit-identical output, only wall clock
-    # may move; (b) the sharded lazy workload at 1 (inline router), 2, and 4
-    # process workers, updates batched so each dispatch ships a sub-batch.
+    # The CT build on its own: wall clock per phase beside the counts that
+    # repeat exactly (regions per phase, Phase-2b density tests).
+    build_s, build_report = time_ct_build(bundle)
+    build = {"seconds": build_s, **build_report.to_dict()}
+    print(
+        f"  ct build: {build_s:.3f}s, regions "
+        f"{build_report.phase1_regions} -> {build_report.phase2_regions} -> "
+        f"{build_report.phase3_regions}, "
+        f"{build_report.density_tests} density tests"
+    )
+
+    # Parallel: the worker-pool execution mode -- the sharded lazy workload
+    # at 1 (inline router), 2, and 4 process workers, updates batched so
+    # each dispatch ships a sub-batch.
     # Smoke scale sits below the parallelism break-even (per-op work is a few
     # microseconds of pure Python; fork + queue round-trips cost more than
-    # they save), so CI enforces the speedup gates only when
-    # ``below_break_even`` is false -- the byte-identity and I/O-parity gates
-    # hold at every scale.
-    serial_s, serial_report, serial_doc = time_ct_build(bundle, workers=0)
-    par_s, par_report, par_doc = time_ct_build(
-        bundle, workers=PARALLEL_BUILD_WORKERS
-    )
+    # they save), so CI enforces the speedup gate only when
+    # ``below_break_even`` is false -- the I/O-parity gate holds at every
+    # scale.
+    top_workers = max(PARALLEL_WORKER_COUNTS)
     try:
         usable_cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # non-Linux
         usable_cpus = os.cpu_count() or 1
-    below_break_even = (
-        args.scale == "smoke" or usable_cpus < PARALLEL_BUILD_WORKERS
-    )
+    below_break_even = args.scale == "smoke" or usable_cpus < top_workers
     parallel = {
         "below_break_even": below_break_even,
         "usable_cpus": usable_cpus,
         "note": (
             "below_break_even is true when the machine cannot actually run "
-            f"{PARALLEL_BUILD_WORKERS} workers concurrently (usable_cpus < "
-            f"{PARALLEL_BUILD_WORKERS}: processes time-slice one core and "
+            f"{top_workers} workers concurrently (usable_cpus < "
+            f"{top_workers}: processes time-slice one core and "
             "pay dispatch cost for nothing) or at smoke scale, where per-op "
             "work is a few microseconds of pure Python against a measured "
             "~75-110us pipe round-trip per dispatch.  CI enforces the "
-            "speedup gates only when this flag is false; byte-identity and "
-            "I/O parity are enforced at every scale."
+            "speedup gate only when this flag is false; I/O parity is "
+            "enforced at every scale."
         ),
         "batch_size": PARALLEL_BATCH,
-        "build": {
-            "workers": PARALLEL_BUILD_WORKERS,
-            "serial_s": serial_s,
-            "parallel_s": par_s,
-            "speedup": serial_s / par_s if par_s else 0.0,
-            "identical_document": serial_doc == par_doc,
-            "serial_phase_timings": serial_report.phase_timings,
-            "parallel_phase_timings": par_report.phase_timings,
-        },
     }
-    print(
-        f"  parallel build: serial {serial_s:.3f}s, "
-        f"{PARALLEL_BUILD_WORKERS} workers {par_s:.3f}s "
-        f"({'identical' if parallel['build']['identical_document'] else 'DIVERGED'})"
-    )
     inline_result, inline_index, _ = run_kind(
         bundle, IndexKind.LAZY, pool_frames=0, batch=PARALLEL_BATCH,
         shards=ENGINE_SHARDS,
@@ -1069,7 +1050,7 @@ def main(argv=None) -> int:
             f"(inline {runs['1']['updates_per_s']:.0f}, "
             f"{runs[str(workers)]['ios_per_update']:.2f} I/O/upd)"
         )
-    top = str(max(PARALLEL_WORKER_COUNTS))
+    top = str(top_workers)
     parallel["sharded"] = {
         "kind": IndexKind.LAZY,
         "mode": "process",
@@ -1201,6 +1182,7 @@ def main(argv=None) -> int:
         "engine": engine,
         "durability": durability,
         "health": health,
+        "build": build,
         "parallel": parallel,
         "rebalance": rebalance,
         "lsm": lsm,

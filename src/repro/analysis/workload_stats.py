@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.core.params import CTParams
-from repro.core.qsregion import TrailSample, identify_qs_regions
+from repro.core.qsregion import TrailSample, identify_qs_regions_batch
 
 
 @dataclass
@@ -67,13 +67,13 @@ def trail_stats(
     dwell_time = 0.0
     region_count = 0
     sample_count = 0
-    for trail in histories.values():
+    mined = identify_qs_regions_batch(list(histories.values()), params)
+    for trail, regions in zip(histories.values(), mined):
         sample_count += len(trail)
         for (p1, _t1), (p2, _t2) in zip(trail, trail[1:]):
             steps.append(math.dist(p1, p2))
         if len(trail) >= 2:
             total_time += trail[-1][1] - trail[0][1]
-        regions = identify_qs_regions(trail, params)
         region_count += len(regions)
         dwell_time += sum(region.dwell_time for region in regions)
 

@@ -84,9 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--query-rate", type=float, default=None,
                        help="anticipated query rate for Eq. 6 (default: update rate / 100)")
     build.add_argument("--city-size", type=float, default=1000.0)
-    build.add_argument("--workers", type=int, default=0, metavar="N",
-                       help="mine Phases 1-2 across N processes "
-                            "(bit-identical to the serial build; 0 = serial)")
     build.add_argument("--save", metavar="SNAPSHOT",
                        help="write the built index to a JSON snapshot file")
     build.add_argument("--metrics-out", metavar="JSON",
@@ -377,12 +374,8 @@ def cmd_build(args: argparse.Namespace) -> int:
         args.query_rate if args.query_rate is not None else max(stream.rate, 1.0) / 100.0
     )
     pager = Pager()
-    builder = CTRTreeBuilder(
-        CTParams(), query_rate=query_rate, workers=args.workers
-    )
+    builder = CTRTreeBuilder(CTParams(), query_rate=query_rate)
     tree, report = builder.build(pager, _domain(args.city_size), histories, current)
-    if args.workers and args.workers > 1:
-        print(f"parallel build: {args.workers} workers (bit-identical)")
     print(f"objects:        {report.object_count}")
     print(f"phase 1 regions:{report.phase1_regions:>8}")
     print(f"phase 2 regions:{report.phase2_regions:>8}")

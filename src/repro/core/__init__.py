@@ -17,7 +17,13 @@ The CT-R-tree pipeline (paper Section 3) lives here:
 
 from repro.core.geometry import Point, Rect, square_at
 from repro.core.params import CTParams, SimulationParams, format_table1
-from repro.core.qsregion import QSRegion, TrailSample, identify_qs_regions, trail_duration
+from repro.core.qsregion import (
+    QSRegion,
+    TrailSample,
+    identify_qs_regions,
+    identify_qs_regions_batch,
+    trail_duration,
+)
 from repro.core.update_graph import UpdateGraph, build_update_graph, merge_by_density
 from repro.core.graph_merge import merge_by_traffic
 from repro.core.overflow import DataPage, NodeBuffer, QSEntry
@@ -36,6 +42,7 @@ __all__ = [
     "QSRegion",
     "TrailSample",
     "identify_qs_regions",
+    "identify_qs_regions_batch",
     "trail_duration",
     "UpdateGraph",
     "build_update_graph",

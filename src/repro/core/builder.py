@@ -2,7 +2,8 @@
 
 Glues the four phases together:
 
-1. :func:`~repro.core.qsregion.identify_qs_regions` over every object's trail;
+1. :func:`~repro.core.qsregion.identify_qs_regions_batch` over all objects'
+   trails at once;
 2. :func:`~repro.core.update_graph.build_update_graph` (chain graphs,
    resident-density merging, graph union, edge-weight scaling);
 3. :func:`~repro.core.graph_merge.merge_by_traffic` (Equation 6);
@@ -26,7 +27,7 @@ from repro.core.ctrtree import CTRTree
 from repro.core.geometry import Point, Rect
 from repro.core.graph_merge import merge_by_traffic
 from repro.core.params import CTParams
-from repro.core.qsregion import TrailSample, identify_qs_regions, trail_duration
+from repro.core.qsregion import TrailSample, identify_qs_regions_batch, trail_duration
 from repro.core.update_graph import UpdateGraph, build_update_graph
 from repro.hashindex import HashIndex
 from repro.obs.metrics import get_registry
@@ -49,6 +50,11 @@ class BuildReport:
     #: Wall-clock seconds per construction phase (phase1_qs_mining,
     #: phase2_graph, phase3_traffic_merge, phase4_tree_load).
     phase_timings: Dict[str, float] = field(default_factory=dict)
+    #: Phase-2b work counts (``merge_by_density``'s grid path on the unified
+    #: graph): candidate sets built and candidate pairs tested.  They repeat
+    #: exactly for a trace, so the build's growth shows without a clock.
+    density_candidate_sets: int = 0
+    density_tests: int = 0
 
     @property
     def build_ios(self) -> int:
@@ -66,6 +72,8 @@ class BuildReport:
             "build_writes": self.build_writes,
             "build_ios": self.build_ios,
             "phase_timings": dict(self.phase_timings),
+            "density_candidate_sets": self.density_candidate_sets,
+            "density_tests": self.density_tests,
         }
 
 
@@ -80,10 +88,6 @@ class CTRTreeBuilder:
         exhaustive: candidate generation for Phase-2 merging on the unified
             graph (None = auto by size; see ``merge_by_density``).
         adaptive: enable Appendix-A adaptation on the produced tree.
-        workers: run Phase 1 and Phase 2a across this many processes
-            (:mod:`repro.parallel.build`); 0 or 1 keeps the serial path.
-            The parallel build is bit-identical to the serial one -- only
-            wall clock changes.
     """
 
     def __init__(
@@ -95,7 +99,6 @@ class CTRTreeBuilder:
         split: str = "quadratic",
         exhaustive: Optional[bool] = None,
         adaptive: bool = True,
-        workers: int = 0,
     ) -> None:
         self.params = ct_params if ct_params is not None else CTParams()
         self.query_rate = query_rate
@@ -103,7 +106,6 @@ class CTRTreeBuilder:
         self.split = split
         self.exhaustive = exhaustive
         self.adaptive = adaptive
-        self.workers = workers
         #: Wall-clock seconds per phase of the most recent mine()/build().
         self.last_phase_timings: Dict[str, float] = {}
 
@@ -123,57 +125,20 @@ class CTRTreeBuilder:
         """
         registry = get_registry()
         timings = self.last_phase_timings = {}
-        parallel = self.workers and self.workers > 1
-        pool = None
-        if parallel:
-            # Lazy import: repro.parallel imports repro.core, not the other
-            # way around at module load.  One pool serves both parallel
-            # phases so fork start-up is paid once.
-            from repro.parallel.build import build_pool
 
-            pool = build_pool(self.workers)
+        t0 = perf_counter()
+        per_object = identify_qs_regions_batch(
+            list(histories.values()), self.params, list(histories)
+        )
+        phase1_count = sum(len(regions) for regions in per_object)
+        t_max = max((trail_duration(t) for t in histories.values()), default=0.0)
+        timings["phase1_qs_mining"] = perf_counter() - t0
 
-        try:
-            t0 = perf_counter()
-            if parallel:
-                from repro.parallel.build import parallel_qs_regions
-
-                per_object = parallel_qs_regions(
-                    histories, self.params, self.workers, pool=pool
-                )
-            else:
-                per_object = [
-                    identify_qs_regions(trail, self.params, object_id=obj_id)
-                    for obj_id, trail in histories.items()
-                ]
-            phase1_count = sum(len(regions) for regions in per_object)
-            t_max = max(
-                (trail_duration(t) for t in histories.values()), default=0.0
-            )
-            timings["phase1_qs_mining"] = perf_counter() - t0
-
-            t0 = perf_counter()
-            if parallel:
-                from repro.core.update_graph import finish_update_graph
-                from repro.parallel.build import parallel_object_graphs
-
-                graphs = parallel_object_graphs(
-                    per_object, self.params.t_area, self.workers, pool=pool
-                )
-                graph = finish_update_graph(
-                    graphs, self.params.t_area, t_max, exhaustive=self.exhaustive
-                )
-            else:
-                graph = build_update_graph(
-                    per_object,
-                    self.params.t_area,
-                    t_max,
-                    exhaustive=self.exhaustive,
-                )
-            timings["phase2_graph"] = perf_counter() - t0
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        t0 = perf_counter()
+        graph = build_update_graph(
+            per_object, self.params.t_area, t_max, exhaustive=self.exhaustive
+        )
+        timings["phase2_graph"] = perf_counter() - t0
 
         t0 = perf_counter()
         traffic_merges = merge_by_traffic(
@@ -183,10 +148,8 @@ class CTRTreeBuilder:
 
         for phase, seconds in timings.items():
             registry.record_duration(f"build.{phase}_s", seconds)
-        if self.workers:
-            # Recorded alongside the timings so BuildReport.phase_timings
-            # carries what the per-phase wall clocks were measured at.
-            timings["parallel_workers"] = float(self.workers)
+        registry.inc("build.phase2.density_candidate_sets", graph.density_candidate_sets)
+        registry.inc("build.phase2.density_tests", graph.density_tests)
         return graph, phase1_count, traffic_merges, t_max
 
     # -- phase 4 ---------------------------------------------------------------
@@ -242,5 +205,7 @@ class CTRTreeBuilder:
             build_reads=after.reads - before.reads,
             build_writes=after.writes - before.writes,
             phase_timings=dict(self.last_phase_timings),
+            density_candidate_sets=graph.density_candidate_sets,
+            density_tests=graph.density_tests,
         )
         return tree, report

@@ -65,8 +65,8 @@ class Rect:
         return rect
 
     def __getstate__(self) -> Tuple[Point, Point]:
-        # The cached area is derived state; keep pickles (and the fork-based
-        # parallel build's chunk results) minimal and canonical.
+        # The cached area is derived state; keep pickles minimal and
+        # canonical.
         return (self.lo, self.hi)
 
     def __setstate__(self, state: Tuple[Point, Point]) -> None:
@@ -354,6 +354,19 @@ def rect_area(lo: Point, hi: Point) -> float:
     for low, high in zip(lo, hi):
         result *= high - low
     return result
+
+
+def column_areas(sides):
+    """:func:`rect_area` over a ``(rows, dim)`` array of side lengths.
+
+    Side products accumulate in dimension order, one row-wise multiply per
+    dimension, so every row gets exactly the double ``rect_area`` /
+    ``Rect.area`` computes for it.
+    """
+    areas = sides[:, 0]
+    for d in range(1, sides.shape[1]):
+        areas = areas * sides[:, d]
+    return areas
 
 
 def rect_enlargement(

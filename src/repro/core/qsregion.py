@@ -26,9 +26,12 @@ final dwell of every object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.geometry import Point, Rect
+import numpy as np
+
+from repro.core.geometry import Point, Rect, column_areas
 from repro.core.params import CTParams
 
 #: One trail record: a location and its timestamp (``(x_ik, y_ik, t_ik)``).
@@ -90,53 +93,140 @@ def identify_qs_regions(
     Returns:
         The object's qs-regions in time order.
     """
-    if len(trail) == 0:
-        return []
-    _check_ordered(trail)
+    return identify_qs_regions_batch([trail], params, [object_id])[0]
 
-    regions: List[QSRegion] = []
-    order = 0
 
-    # Step 1-2: the first MBR contains only the first sample.
-    first_point, first_time = trail[0]
-    rect = Rect.from_point(first_point)
-    window_start_time = first_time  # t_j: timestamp of the oldest sample inside
-    prev_time = first_time
+def identify_qs_regions_batch(
+    trails: Sequence[Sequence[TrailSample]],
+    params: CTParams,
+    object_ids: Optional[Sequence[Optional[int]]] = None,
+) -> List[List[QSRegion]]:
+    """Figure 3 over many trails at once: one vector step per sample index.
 
-    for point, time in list(trail)[1:]:
-        expanded = rect.union_point(point)  # Step 3(A)
-        dt = time - prev_time
-        growth_rate = (
-            (expanded.diagonal - rect.diagonal) / dt if dt > 0 else float("inf")
+    Every trail's growing MBR advances together -- running bounds, diagonal,
+    growth rate and the freeze-or-restart decision are columns over the
+    objects -- and Python objects are built only for the rectangles that
+    freeze.  Each column operation is the IEEE operation the per-sample
+    recurrence performs, in the same order (comparisons select the bounds;
+    squares and side products accumulate in dimension order), so the result
+    does not depend on how many trails share a batch.
+
+    Args:
+        trails: one sample sequence per object, each ordered by
+            non-decreasing timestamp; lengths may differ.
+        params: the Phase-1 thresholds.
+        object_ids: owner per trail (default: no owner).
+
+    Returns:
+        Per trail, its qs-regions in time order.
+    """
+    n = len(trails)
+    out: List[List[QSRegion]] = [[] for _ in range(n)]
+    lengths = np.fromiter((len(trail) for trail in trails), np.intp, n)
+    total = int(lengths.sum())
+    if total == 0:
+        return out
+    if object_ids is None:
+        object_ids = [None] * n
+
+    # Pack the ragged trails into (objects, samples[, dim]) columns; slots
+    # past a trail's end are never read (every step is masked by length).
+    dim = len(next(trail for trail in trails if len(trail))[0][0])
+    coords = np.fromiter(
+        chain.from_iterable(point for trail in trails for point, _ in trail),
+        np.float64,
+    )
+    if dim == 0 or coords.size != total * dim:
+        raise ValueError("trail points must share one positive dimension")
+    steps = int(lengths.max())
+    filled = np.arange(steps) < lengths[:, None]
+    points = np.zeros((n, steps, dim))
+    points[filled] = coords.reshape(total, dim)
+    times = np.zeros((n, steps))
+    times[filled] = np.fromiter(
+        (time for trail in trails for _, time in trail), np.float64, total
+    )
+    if np.any((times[:, 1:] < times[:, :-1]) & filled[:, 1:]):
+        raise ValueError("trail samples must be ordered by non-decreasing time")
+
+    # Steps 1-2: each MBR starts as its trail's first sample.  ``diag`` is
+    # the diagonal of the current MBR (0 for a point), ``window_start`` the
+    # timestamp of the oldest sample inside it (t_j).
+    lo = points[:, 0].copy()
+    hi = points[:, 0].copy()
+    diag = np.zeros(n)
+    window_start = times[:, 0].copy()
+    prev_time = times[:, 0].copy()
+
+    frozen_rows, frozen_lo, frozen_hi, frozen_dwell = [], [], [], []
+
+    def freeze(rows: np.ndarray) -> None:
+        """Keep the current MBR of ``rows`` where it qualifies as a qs-region."""
+        dwell = prev_time[rows] - window_start[rows]
+        keep = (dwell > params.t_time) & (
+            column_areas(hi[rows] - lo[rows]) < params.t_area
         )
-        if expanded.diagonal > params.t_dist and growth_rate > params.t_rate:
-            # Step 3(B): stop growing; freeze or discard B(j, k-1).
-            dwell = prev_time - window_start_time
-            if dwell > params.t_time and rect.area < params.t_area:
-                regions.append(
-                    QSRegion(
-                        rect=rect,
-                        dwell_time=dwell,
-                        object_id=object_id,
-                        order=order,
-                    )
-                )
-                order += 1
-            # Steps (c)-(d): restart from the sample that broke the growth.
-            rect = Rect.from_point(point)
-            window_start_time = time
-        else:
-            rect = expanded
-        prev_time = time
+        rows = rows[keep]
+        if len(rows):
+            frozen_rows.append(rows)
+            frozen_lo.append(lo[rows])
+            frozen_hi.append(hi[rows])
+            frozen_dwell.append(dwell[keep])
 
-    # Finalize the rectangle still growing when the history ends.
-    dwell = prev_time - window_start_time
-    if dwell > params.t_time and rect.area < params.t_area:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(1, steps):
+            active = filled[:, k]
+            point = points[:, k]
+            time = times[:, k]
+            # Step 3(A): the MBR expanded to the k-th sample.
+            new_lo = np.where(point < lo, point, lo)
+            new_hi = np.where(point > hi, point, hi)
+            side = new_hi[:, 0] - new_lo[:, 0]
+            squares = side * side
+            for d in range(1, dim):
+                side = new_hi[:, d] - new_lo[:, d]
+                squares = squares + side * side
+            new_diag = np.sqrt(squares)
+            dt = time - prev_time
+            growth_rate = np.where(dt > 0, (new_diag - diag) / dt, np.inf)
+            stop = active & (new_diag > params.t_dist) & (growth_rate > params.t_rate)
+            # Step 3(B): stop growing; freeze or discard B(j, k-1), then
+            # restart from the sample that broke the growth.
+            freeze(np.flatnonzero(stop))
+            grow = (active & ~stop)[:, None]
+            stop_col = stop[:, None]
+            lo = np.where(stop_col, point, np.where(grow, new_lo, lo))
+            hi = np.where(stop_col, point, np.where(grow, new_hi, hi))
+            diag = np.where(stop, 0.0, np.where(active, new_diag, diag))
+            window_start = np.where(stop, time, window_start)
+            prev_time = np.where(active, time, prev_time)
+
+    # Finalize the rectangles still growing when their histories end.
+    freeze(np.flatnonzero(lengths > 0))
+
+    if not frozen_rows:
+        return out
+    # Frozen rectangles were collected step by step; a stable sort by trail
+    # restores each trail's time order.  ``tolist`` keeps numpy scalars out
+    # of the regions.
+    rows = np.concatenate(frozen_rows)
+    by_trail = np.argsort(rows, kind="stable")
+    for row, low, high, dwell in zip(
+        rows[by_trail].tolist(),
+        np.concatenate(frozen_lo)[by_trail].tolist(),
+        np.concatenate(frozen_hi)[by_trail].tolist(),
+        np.concatenate(frozen_dwell)[by_trail].tolist(),
+    ):
+        regions = out[row]
         regions.append(
-            QSRegion(rect=rect, dwell_time=dwell, object_id=object_id, order=order)
+            QSRegion(
+                rect=Rect._make(tuple(low), tuple(high)),
+                dwell_time=dwell,
+                object_id=object_ids[row],
+                order=len(regions),
+            )
         )
-
-    return regions
+    return out
 
 
 def trail_duration(trail: Sequence[TrailSample]) -> float:
@@ -144,11 +234,3 @@ def trail_duration(trail: Sequence[TrailSample]) -> float:
     if len(trail) < 2:
         return 0.0
     return trail[-1][1] - trail[0][1]
-
-
-def _check_ordered(trail: Sequence[TrailSample]) -> None:
-    previous = None
-    for _, time in trail:
-        if previous is not None and time < previous:
-            raise ValueError("trail samples must be ordered by non-decreasing time")
-        previous = time

@@ -20,6 +20,9 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
+from repro.core.geometry import column_areas
 from repro.core.qsregion import QSRegion
 
 #: Floor for rectangle areas when computing densities, so degenerate
@@ -34,6 +37,11 @@ class UpdateGraph:
         self._regions: Dict[int, QSRegion] = {}
         self._adj: Dict[int, Dict[int, float]] = {}
         self._next_id = 0
+        #: Work done by :func:`merge_by_density`'s grid path on this graph:
+        #: candidate sets built, and candidate pairs tested against
+        #: conditions (3)-(5).  Both repeat exactly for a given input.
+        self.density_candidate_sets = 0
+        self.density_tests = 0
 
     # -- construction ------------------------------------------------------
 
@@ -237,9 +245,33 @@ def merge_by_density(
                         changed = True
         return merges
 
+    # Grid path.  Per-region columns (indexed by region id) mirror the
+    # region objects so conditions (3)-(5) are one vector expression per
+    # candidate set: the same min/max, subtractions, products, division and
+    # strict comparisons ``_mergeable`` performs, in the same order.  The
+    # partner is the *first* mergeable id in the candidate set's own
+    # iteration order -- the greedy fixpoint depends on that order, so
+    # candidates are neither sorted nor pruned here.
+    if not graph._regions:
+        return 0
     grid = _Grid(math.sqrt(t_area))
+    dim = next(iter(graph._regions.values())).rect.dim
+    lo = np.zeros((graph._next_id, dim))
+    hi = np.zeros((graph._next_id, dim))
+    dwell = np.zeros(graph._next_id)
+    density = np.zeros(graph._next_id)
+
+    def refresh(rid: int) -> None:
+        """Mirror region ``rid`` into the columns and (re-)add it to the grid."""
+        region = graph.region(rid)
+        lo[rid] = region.rect.lo
+        hi[rid] = region.rect.hi
+        dwell[rid] = region.dwell_time
+        density[rid] = region.resident_density(AREA_EPSILON)
+        grid.add(rid, region)
+
     for rid in graph.region_ids:
-        grid.add(rid, graph.region(rid))
+        refresh(rid)
     worklist = list(graph.region_ids)
     while worklist:
         a = worklist.pop()
@@ -248,57 +280,33 @@ def merge_by_density(
         merged_any = True
         while merged_any:
             merged_any = False
-            for b in grid.candidates(a):
-                if b not in graph._regions:
-                    grid.remove(b)
-                    continue
-                if _mergeable(graph.region(a), graph.region(b), t_area):
-                    graph.merge(a, b)
-                    grid.remove(b)
-                    grid.remove(a)
-                    grid.add(a, graph.region(a))
-                    merges += 1
-                    merged_any = True
-                    break
+            candidates = grid.candidates(a)
+            if not candidates:
+                break
+            graph.density_candidate_sets += 1
+            graph.density_tests += len(candidates)
+            ids = np.fromiter(candidates, np.intp, len(candidates))
+            union_area = column_areas(
+                np.maximum(hi[a], hi[ids]) - np.minimum(lo[a], lo[ids])
+            )
+            combined_density = (dwell[a] + dwell[ids]) / np.maximum(
+                union_area, AREA_EPSILON
+            )
+            mergeable = (
+                (union_area < t_area)
+                & (density[a] < combined_density)
+                & (density[ids] < combined_density)
+            )
+            first = mergeable.argmax()
+            if mergeable[first]:
+                b = int(ids[first])
+                graph.merge(a, b)
+                grid.remove(b)
+                grid.remove(a)
+                refresh(a)
+                merges += 1
+                merged_any = True
     return merges
-
-
-def per_object_graphs(
-    per_object_regions: Sequence[Sequence[QSRegion]], t_area: float
-) -> List[UpdateGraph]:
-    """Phase 2a: one density-merged chain graph per object.
-
-    Each object's graph depends on nothing but its own regions, which is
-    what makes this half of the phase embarrassingly parallel -- the
-    parallel build (:mod:`repro.parallel.build`) runs exactly this function
-    over contiguous chunks and concatenates, so its output is bit-identical.
-    """
-    graphs = []
-    for regions in per_object_regions:
-        graph = chain_graph(regions)
-        merge_by_density(graph, t_area, exhaustive=True)
-        graphs.append(graph)
-    return graphs
-
-
-def finish_update_graph(
-    graphs: Sequence[UpdateGraph],
-    t_area: float,
-    t_max: float,
-    exhaustive: Optional[bool] = None,
-) -> UpdateGraph:
-    """Phase 2b: union the per-object graphs, merge globally, rescale.
-
-    Inherently order-sensitive (region ids are assigned by union order), so
-    it always runs serially -- both the serial and parallel builds feed it
-    graphs in stable object order.
-    """
-    unified = union_graphs(graphs)
-    merge_by_density(unified, t_area, exhaustive=exhaustive)
-
-    if t_max > 0:
-        unified.scale_edges(1.0 / t_max)
-    return unified
 
 
 def build_update_graph(
@@ -309,15 +317,26 @@ def build_update_graph(
 ) -> UpdateGraph:
     """The full Phase 2: per-object chains, density merges, union, rescale.
 
+    Region ids in the unified graph are assigned in input order and the
+    global merge is order-sensitive, so the result is a function of the
+    order of ``per_object_regions``.
+
     Args:
         per_object_regions: Phase-1 output, one region sequence per object.
         t_area: the ``T_area`` threshold.
         t_max: the longest trail duration (``max |H_i|`` in time), used to
             scale edge weights to updates per unit time.
+        exhaustive: candidate generation for the merge over the unified
+            graph (see :func:`merge_by_density`); the per-object graphs are
+            small and always merged exhaustively.
     """
-    return finish_update_graph(
-        per_object_graphs(per_object_regions, t_area),
-        t_area,
-        t_max,
-        exhaustive=exhaustive,
-    )
+    graphs = []
+    for regions in per_object_regions:
+        graph = chain_graph(regions)
+        merge_by_density(graph, t_area, exhaustive=True)
+        graphs.append(graph)
+    unified = union_graphs(graphs)
+    merge_by_density(unified, t_area, exhaustive=exhaustive)
+    if t_max > 0:
+        unified.scale_edges(1.0 / t_max)
+    return unified

@@ -21,7 +21,7 @@ from typing import Dict, Sequence
 from repro.core.builder import CTRTreeBuilder
 from repro.core.ctrtree import CTRTree
 from repro.core.params import CTParams
-from repro.core.qsregion import identify_qs_regions
+from repro.core.qsregion import identify_qs_regions_batch
 from repro.experiments.harness import (
     ExperimentResult,
     WorkloadBundle,
@@ -105,8 +105,10 @@ def run_merge_phases(scale: str = "small", seed: int = 0) -> ExperimentResult:
 
     phase1_regions = [
         region
-        for oid, trail in histories.items()
-        for region in identify_qs_regions(trail, params, object_id=oid)
+        for regions in identify_qs_regions_batch(
+            list(histories.values()), params, list(histories)
+        )
+        for region in regions
     ]
     run_with_regions(phase1_regions, "phase 1 only", result)
 

@@ -1,23 +1,15 @@
-"""repro.parallel: worker-pool execution for the sharded engine and the
-CT-R-tree construction pipeline.
+"""repro.parallel: worker-pool execution for the sharded engine.
 
-Three coordinated pieces:
+Two coordinated pieces:
 
 * :class:`~repro.parallel.sharded.ParallelShardedIndex` -- the sharded
   engine's worker-pool execution mode (process or thread workers, one per
   shard), with batched dispatch, concurrent query fan-out, sequenced
   cross-shard moves, and graceful inline fallback on worker failure;
-* :mod:`~repro.parallel.build` -- bit-identical parallel CT-R-tree
-  construction (Phases 1-2 chunked over a process pool);
 * :mod:`~repro.parallel.workers` -- the shard-worker command protocol and
   the process/thread worker implementations.
 """
 
-from repro.parallel.build import (
-    chunked,
-    parallel_object_graphs,
-    parallel_qs_regions,
-)
 from repro.parallel.sharded import ParallelShardedIndex, ShardLedger
 from repro.parallel.workers import (
     ProcessWorker,
@@ -33,9 +25,6 @@ __all__ = [
     "ThreadWorker",
     "ShardServer",
     "WorkerFailure",
-    "chunked",
-    "parallel_qs_regions",
-    "parallel_object_graphs",
 ]
 
 PARALLEL_MODES = ("off", "thread", "process")

@@ -192,3 +192,28 @@ class TestBuilderPhaseTimings:
         finally:
             set_enabled(False)
             registry.reset()
+
+    def test_build_counts_phase2_density_work(self, rng):
+        from repro.core.builder import CTRTreeBuilder
+        from tests.conftest import dwell_trail
+
+        spots = [(100, 100), (500, 500)]
+        histories = {
+            oid: dwell_trail(rng, spots, dwell_reports=30) for oid in range(6)
+        }
+        registry = set_enabled(True)
+        registry.reset()
+        try:
+            # exhaustive=False sends even this small graph down the grid path.
+            _tree, report = CTRTreeBuilder(exhaustive=False).build(
+                Pager(), DOMAIN, histories
+            )
+            assert 0 < report.density_candidate_sets <= report.density_tests
+            assert report.to_dict()["density_tests"] == report.density_tests
+            assert (
+                registry.counter_value("build.phase2.density_tests")
+                == report.density_tests
+            )
+        finally:
+            set_enabled(False)
+            registry.reset()

@@ -1,5 +1,6 @@
 """Unit tests for Phase 1: qs-region identification (Figure 3)."""
 
+import math
 import random
 
 import pytest
@@ -7,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.params import CTParams
-from repro.core.qsregion import QSRegion, identify_qs_regions, trail_duration
+from repro.core.qsregion import (
+    QSRegion,
+    identify_qs_regions,
+    identify_qs_regions_batch,
+    trail_duration,
+)
 from tests.conftest import dwell_trail
 
 
@@ -168,3 +174,127 @@ def test_property_regions_cover_their_dwells(seed):
         assert region.dwell_time > params.t_time
         assert region.rect.area < params.t_area
         assert any(region.rect.contains_point(p) for p, _ in trail)
+
+
+# -- differential: the column kernel against a plain-float Figure 3 ----------
+
+
+def figure3_reference(trail, params, object_id):
+    """Figure 3 one sample at a time in plain floats: the reference the
+    column kernel must equal bit for bit.  Squares and side products
+    accumulate in dimension order; bounds move only on a strict comparison."""
+
+    def diagonal(lo, hi):
+        squares = 0.0
+        for low, high in zip(lo, hi):
+            squares += (high - low) * (high - low)
+        return math.sqrt(squares)
+
+    def area(lo, hi):
+        product = 1.0
+        for low, high in zip(lo, hi):
+            product *= high - low
+        return product
+
+    found = []
+
+    def freeze(lo, hi, dwell):
+        if dwell > params.t_time and area(lo, hi) < params.t_area:
+            found.append((lo, hi, dwell, len(found), object_id))
+
+    if not trail:
+        return found
+    lo = hi = tuple(float(c) for c in trail[0][0])
+    window_start = prev_time = trail[0][1]
+    for point, time in trail[1:]:
+        if time < prev_time:
+            raise ValueError("unordered")
+        point = tuple(float(c) for c in point)
+        new_lo = tuple(c if c < low else low for low, c in zip(lo, point))
+        new_hi = tuple(c if c > high else high for high, c in zip(hi, point))
+        dt = time - prev_time
+        growth = (diagonal(new_lo, new_hi) - diagonal(lo, hi)) / dt if dt > 0 else math.inf
+        if diagonal(new_lo, new_hi) > params.t_dist and growth > params.t_rate:
+            freeze(lo, hi, prev_time - window_start)
+            lo = hi = point
+            window_start = time
+        else:
+            lo, hi = new_lo, new_hi
+        prev_time = time
+    freeze(lo, hi, prev_time - window_start)
+    return found
+
+
+def random_trail(rng, dim, length, integer_coords):
+    """Dwell-and-hop movement with repeated timestamps (``dt == 0``)."""
+    trail = []
+    t = rng.uniform(0.0, 100.0)
+    centre = [rng.uniform(0.0, 1000.0) for _ in range(dim)]
+    for _ in range(length):
+        if rng.random() < 0.08:
+            centre = [rng.uniform(0.0, 1000.0) for _ in range(dim)]
+        point = tuple(c + rng.gauss(0.0, 3.0) for c in centre)
+        if integer_coords:
+            point = tuple(int(c) for c in point)
+        trail.append((point, t))
+        if rng.random() > 0.1:
+            t += rng.uniform(1.0, 40.0)
+    return trail
+
+
+def bits(lo, hi, dwell, order, object_id):
+    """One region as a comparable tuple; floats as hex so -0.0 != 0.0."""
+    for value in (*lo, *hi, dwell):
+        assert type(value) is float  # no numpy scalar escapes the kernel
+    return (
+        tuple(c.hex() for c in lo),
+        tuple(c.hex() for c in hi),
+        dwell.hex(),
+        order,
+        object_id,
+    )
+
+
+def exact(regions):
+    return [
+        bits(r.rect.lo, r.rect.hi, r.dwell_time, r.order, r.object_id)
+        for r in regions
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]), st.booleans())
+def test_batch_kernel_equals_the_per_sample_reference(seed, dim, integer_coords):
+    rng = random.Random(seed)
+    params = CTParams(
+        t_dist=rng.choice([5.0, 30.0]),
+        t_rate=rng.choice([0.2, 1.0]),
+        t_time=rng.choice([20.0, 300.0]),
+        t_area=rng.choice([50.0, 22_500.0, 1e7]),
+    )
+    lengths = [0, 1, 2] + [rng.randint(3, 60) for _ in range(rng.randint(0, 8))]
+    rng.shuffle(lengths)
+    trails = [random_trail(rng, dim, n, integer_coords) for n in lengths]
+    oids = [rng.choice([None, 100 + i]) for i in range(len(trails))]
+
+    want = [
+        [bits(*found) for found in figure3_reference(trail, params, oid)]
+        for trail, oid in zip(trails, oids)
+    ]
+    got = identify_qs_regions_batch(trails, params, oids)
+    assert [exact(regions) for regions in got] == want
+    # The one-trail entry is the same kernel on a batch of one.
+    for trail, oid, expected in zip(trails, oids, want):
+        assert exact(identify_qs_regions(trail, params, object_id=oid)) == expected
+
+
+def test_batch_kernel_rejects_a_decreasing_timestamp_in_any_trail(params):
+    good = stationary_trail(0, 0, n=5)
+    bad = [((0, 0), 10.0), ((0, 0), 5.0), ((0, 0), 20.0)]
+    with pytest.raises(ValueError):
+        identify_qs_regions_batch([good, bad, []], params)
+
+
+def test_batch_kernel_rejects_mixed_dimensions(params):
+    with pytest.raises(ValueError):
+        identify_qs_regions_batch([[((0.0, 0.0), 0.0), ((1.0,), 1.0)]], params)

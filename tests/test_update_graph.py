@@ -1,13 +1,19 @@
 """Unit tests for Phase 2: the update graph and density merging (Figure 4)."""
 
+import copy
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.geometry import Rect
 from repro.core.qsregion import QSRegion
 from repro.core.update_graph import (
     UpdateGraph,
+    _Grid,
+    _mergeable,
     build_update_graph,
     chain_graph,
     merge_by_density,
@@ -154,6 +160,16 @@ class TestDensityMerging:
         g.add_region(region(10, 0, 20, 10, 100))
         assert merge_by_density(g, t_area=22500) == 0
 
+    @pytest.mark.parametrize("exhaustive", [True, False], ids=["all-pairs", "grid"])
+    def test_density_condition_is_strict_on_each_side(self, exhaustive):
+        # The union (= the wide rect) has density exactly 1.0: it beats the
+        # wide region (0.5) but only ties the small one, so no merge -- on
+        # either candidate path, whichever of the two plays ``a``.
+        g = UpdateGraph()
+        g.add_region(region(0, 0, 10, 10, 100))
+        g.add_region(region(0, 0, 20, 10, 100))
+        assert merge_by_density(g, t_area=22500, exhaustive=exhaustive) == 0
+
     def test_heavily_overlapping_merge_cascades(self):
         g = UpdateGraph()
         for i in range(5):
@@ -199,6 +215,111 @@ class TestDensityMerging:
             g.add_region(region(0, 0, 10 + i * 0.1, 10, tau))
         merge_by_density(g, t_area=22500)
         assert g.total_dwell_time() == pytest.approx(total)
+
+
+def per_pair_grid_merge(graph, t_area):
+    """The grid path one candidate pair at a time: the reference the vector
+    kernel must equal.  Same grid, same candidate sets, partner = the first
+    mergeable id in the set's iteration order."""
+    grid = _Grid(math.sqrt(t_area))
+    for rid in graph.region_ids:
+        grid.add(rid, graph.region(rid))
+    merges = tests = 0
+    worklist = list(graph.region_ids)
+    while worklist:
+        a = worklist.pop()
+        if a not in graph._regions:
+            continue
+        merged_any = True
+        while merged_any:
+            merged_any = False
+            candidates = grid.candidates(a)
+            tests += len(candidates)
+            for b in candidates:
+                if _mergeable(graph.region(a), graph.region(b), t_area):
+                    graph.merge(a, b)
+                    grid.remove(b)
+                    grid.remove(a)
+                    grid.add(a, graph.region(a))
+                    merges += 1
+                    merged_any = True
+                    break
+    return merges, tests
+
+
+def clustered_graph(rng, dim, n_regions, n_clusters):
+    """Regions piled onto a few dwell spots, chained per owner like Phase 2a
+    leaves them; some are degenerate (zero area)."""
+    clusters = [[rng.uniform(50, 950) for _ in range(dim)] for _ in range(n_clusters)]
+    graph = UpdateGraph()
+    previous = None
+    for i in range(n_regions):
+        centre = rng.choice(clusters)
+        lo = [c + rng.uniform(-12, 12) for c in centre]
+        extent = 0.0 if rng.random() < 0.05 else rng.uniform(1, 25)
+        hi = [c + extent * rng.uniform(0.5, 1.0) for c in lo]
+        oid = i // 3
+        rid = graph.add_region(
+            QSRegion(
+                rect=Rect(lo, hi),
+                dwell_time=rng.uniform(300, 2000),
+                object_id=oid,
+                order=i % 3,
+            )
+        )
+        if previous is not None and i % 3:
+            graph.add_edge(previous, rid, 1.0)
+        previous = rid
+    return graph
+
+
+def graph_state(graph):
+    return (
+        {
+            rid: (r.rect.lo, r.rect.hi, r.dwell_time, r.object_id, r.sources)
+            for rid, r in graph._regions.items()
+        },
+        graph._adj,
+    )
+
+
+class TestGridKernelDifferential:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
+    def test_vector_path_equals_the_per_pair_loop(self, seed, dim):
+        rng = random.Random(seed)
+        t_area = rng.choice([400.0, 2_500.0, 22_500.0])
+        got = clustered_graph(rng, dim, rng.randint(260, 900), rng.randint(3, 40))
+        want = copy.deepcopy(got)
+
+        want_merges, want_tests = per_pair_grid_merge(want, t_area)
+        assert merge_by_density(got, t_area) == want_merges
+        assert graph_state(got) == graph_state(want)
+        assert got.density_tests == want_tests
+        assert got.density_candidate_sets >= want_merges
+        # Nothing numpy-typed leaks into what snapshots serialise.
+        for rid, r in got._regions.items():
+            assert type(rid) is int and type(r.dwell_time) is float
+            assert all(type(c) is float for c in (*r.rect.lo, *r.rect.hi))
+            assert all(type(s) is int for s in r.sources)
+        for rid, nbrs in got._adj.items():
+            assert type(rid) is int and all(type(n) is int for n in nbrs)
+
+    def test_differential_graphs_do_merge(self):
+        """Guard against a vacuous differential: the generator's graphs
+        collapse substantially, so the merge branch is what gets compared."""
+        graph = clustered_graph(random.Random(3), 2, 600, 12)
+        merges = merge_by_density(graph, 22_500.0)
+        assert merges > 200
+        assert graph.density_candidate_sets > merges
+
+    def test_small_graphs_take_the_exhaustive_path(self):
+        graph = clustered_graph(random.Random(4), 2, 200, 6)
+        assert merge_by_density(graph, 22_500.0) > 0
+        assert graph.density_tests == 0 and graph.density_candidate_sets == 0
+
+    def test_empty_graph_on_the_grid_path(self):
+        assert merge_by_density(UpdateGraph(), 22_500.0, exhaustive=False) == 0
 
 
 class TestBuildUpdateGraph:
