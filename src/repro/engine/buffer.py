@@ -253,8 +253,17 @@ class UpdateBuffer:
             seq=self._seq,
         )
 
+    def flush_reason(self, now: Optional[float] = None) -> Optional[str]:
+        """Which of the policy's triggers fires now (``"size"``,
+        ``"horizon"`` or None).  ``oldest_t`` is a scan of every pending
+        update, so it is only taken when the policy has a horizon to test
+        it against."""
+        policy = self.policy
+        oldest_t = None if policy.horizon is None else self.oldest_t
+        return policy.flush_reason(len(self._pending), oldest_t, now)
+
     def should_flush(self, now: Optional[float] = None) -> bool:
-        return self.policy.should_flush(len(self._pending), self.oldest_t, now)
+        return self.flush_reason(now) is not None
 
     def flush(self, index: SpatialIndex, reason: str = "manual") -> int:
         """Apply every pending update to ``index`` in timestamp order.

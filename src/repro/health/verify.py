@@ -416,8 +416,6 @@ def _verify_lsm(lsm: LSMRTree, report: VerifyReport, prefix: str = "") -> None:
     * a run's sorted oid side table agrees exactly with its tree contents
       (the membership probes queries rely on must not lie);
     * no oid is both live and tombstoned within one run;
-    * the bloom filter admits every oid the run mentions (no false
-      negatives -- a lying bloom silently drops suppression);
     * tombstone accounting: every tombstone still suppresses some older
       version (compaction must have dropped the garbage ones);
     * the live counter equals the resolved newest-version-only object
@@ -457,23 +455,9 @@ def _verify_lsm(lsm: LSMRTree, report: VerifyReport, prefix: str = "") -> None:
                 f"oids both live and tombstoned: {sorted(overlap)[:5]}",
             )
         for oid in run.oids:
-            if oid not in run.bloom:
-                report.add(
-                    "lsm-bloom",
-                    loc,
-                    f"bloom filter denies stored oid {oid} "
-                    "(false negative)",
-                )
             if oid not in suppressed:
                 resolved += 1
         for oid in run.tombstones:
-            if oid not in run.bloom:
-                report.add(
-                    "lsm-bloom",
-                    loc,
-                    f"bloom filter denies tombstoned oid {oid} "
-                    "(false negative)",
-                )
             if oid not in suppressed and not any(
                 runs[j].mentions(oid) for j in range(i)
             ):

@@ -2,32 +2,39 @@
 
 A run is what one memtable flush (or one compaction merge) produces: an
 STR-packed R-tree over the flushed points, a sorted ``array('q')`` of the
-oids it holds, a sorted array of the oids it *tombstones* (deletes that
-must suppress older runs), and a bloom filter over both.  Runs are never
-mutated after construction -- compaction replaces whole runs.
+oids it holds and a sorted array of the oids it *tombstones* (deletes that
+must suppress older runs).  Runs are never mutated after construction --
+compaction replaces whole runs.
 
-Membership metadata (oid arrays, blooms) is main-memory and uncharged,
-consistent with the repo's accounting rule that parent pointers and hash
-directories are uncharged bookkeeping (DESIGN.md section 5); the run's
-*tree pages* are charged normally on query and compaction reads.
+Membership is a ``bisect`` on those arrays and nothing else: in pure Python
+no probabilistic pre-filter is cheaper than the 0.34-0.44 us binary search
+it would gate (DESIGN.md section 16 has the measurements).
+
+The side tables are main-memory and uncharged, consistent with the repo's
+accounting rule that parent pointers and hash directories are uncharged
+bookkeeping (DESIGN.md section 5); the run's *tree pages* are charged
+normally on query and compaction reads.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
-from repro.core.geometry import Point
-from repro.lsm.bloom import BloomFilter
-from repro.rtree.bulk import str_pack
+import numpy as np
+
+from repro.rtree.bulk import str_pack_columns
 from repro.rtree.rtree import RTree
 from repro.storage.pager import Pager
 
 
-def _sorted_array(values: Iterable[int]) -> array:
-    arr = array("q", sorted(values))
-    return arr
+def _side_table(values: Iterable[int]) -> array:
+    """``values`` as a sorted ``array('q')``; an ``array('q')`` is taken as
+    already sorted (the build and merge kernels produce them that way)."""
+    if isinstance(values, array):
+        return values
+    return array("q", sorted(values))
 
 
 def _in_sorted(arr: array, key: int) -> bool:
@@ -35,10 +42,15 @@ def _in_sorted(arr: array, key: int) -> bool:
     return idx < len(arr) and arr[idx] == key
 
 
+def as_column(table: array) -> np.ndarray:
+    """A zero-copy ``int64`` view of a side table."""
+    return np.frombuffer(table, dtype=np.int64)
+
+
 class Run:
     """One immutable sorted run of the LSM-R-tree."""
 
-    __slots__ = ("tree", "oids", "tombstones", "seq", "bloom")
+    __slots__ = ("tree", "oids", "tombstones", "seq")
 
     def __init__(
         self,
@@ -48,12 +60,9 @@ class Run:
         seq: int,
     ) -> None:
         self.tree = tree
-        self.oids = _sorted_array(oids)
-        self.tombstones = _sorted_array(tombstones)
+        self.oids = _side_table(oids)
+        self.tombstones = _side_table(tombstones)
         self.seq = seq
-        self.bloom = BloomFilter.from_keys(
-            list(self.oids) + list(self.tombstones)
-        )
 
     def __len__(self) -> int:
         return len(self.oids)
@@ -68,38 +77,45 @@ class Run:
         """Does this run say *anything* about ``oid`` (live or tombstone)?
 
         A newer run mentioning an oid supersedes every older version of it.
-        Bloom-gated: the common negative answers without a binary search.
         """
-        if oid not in self.bloom:
-            return False
         return _in_sorted(self.oids, oid) or _in_sorted(self.tombstones, oid)
 
     def contains_live(self, oid: int) -> bool:
-        if oid not in self.bloom:
-            return False
         return _in_sorted(self.oids, oid)
 
     def is_tombstoned(self, oid: int) -> bool:
-        if oid not in self.bloom:
-            return False
         return _in_sorted(self.tombstones, oid)
 
-    def read_items(self) -> List[Tuple[int, Point]]:
-        """Every (oid, point) in the run via a *charged* page walk.
+    def read_columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every object in the run via a *charged* page walk, as columns:
+        ``int64 (n,)`` oids and ``float64 (n, dim)`` coordinates in leaf
+        order (``(0, 0)``-shaped for a run with no objects, whose dimension
+        is unknown).
 
         Compaction uses this: merging runs re-reads their pages, and that
         cost must land on the ledger like any other page I/O.
         """
-        out: List[Tuple[int, Point]] = []
+        leaves: List[Tuple[array, Tuple[array, ...]]] = []
         pager = self.tree.pager
         stack = [self.tree.root_pid]
         while stack:
             node = pager.read(stack.pop())
             if node.is_leaf:
-                out.extend(node.entries.iter_points())
+                if len(node.entries):
+                    leaves.append(node.entries.point_columns())
             else:
                 stack.extend(node.entries.child_list())
-        return out
+        if not leaves:
+            return np.empty(0, dtype=np.int64), np.empty((0, 0))
+        oids = np.concatenate([as_column(ids) for ids, _ in leaves])
+        coords = np.stack(
+            [
+                np.concatenate([np.frombuffer(columns[d]) for _, columns in leaves])
+                for d in range(len(leaves[0][1]))
+            ],
+            axis=1,
+        )
+        return oids, coords
 
     def page_count(self) -> int:
         """Number of tree pages (uncharged walk)."""
@@ -125,15 +141,20 @@ class Run:
 
 def build_run(
     pager: Pager,
-    items: Sequence[Tuple[int, Point]],
-    tombstones: Iterable[int],
+    oids: np.ndarray,
+    coords: np.ndarray,
+    tombstones: np.ndarray,
     seq: int,
     *,
     max_entries: int = 20,
     split: str = "quadratic",
     fill: float = 0.9,
 ) -> Run:
-    """STR-pack ``items`` into a fresh immutable run on ``pager``.
+    """STR-pack a fresh immutable run on ``pager`` from columns.
+
+    ``oids`` is an ascending ``int64 (n,)`` column, ``coords`` the matching
+    ``float64 (n, dim)`` positions and ``tombstones`` an ascending ``int64``
+    column; the run's side tables are those columns as given (not re-sorted).
 
     Charged under whatever I/O category is active at the caller (the
     memtable flushes inside the driver's UPDATE scope; loads inside BUILD),
@@ -149,7 +170,7 @@ def build_run(
         split=split,
         shrink_on_delete=False,
     )
-    ordered = sorted(items, key=lambda item: item[0])
-    if ordered:
-        str_pack(tree, ordered, fill=fill)
-    return Run(tree, (oid for oid, _ in ordered), tombstones, seq)
+    str_pack_columns(tree, oids, coords, fill=fill)
+    return Run(
+        tree, array("q", oids.tobytes()), array("q", tombstones.tobytes()), seq
+    )

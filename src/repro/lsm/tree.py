@@ -3,7 +3,8 @@
 Write path: every insert/update lands in the coalescing
 :class:`~repro.engine.buffer.UpdateBuffer` memtable (uncharged main memory,
 optionally WAL-backed); when the memtable reaches ``memtable_size`` distinct
-objects it drains into a fresh STR-packed immutable run.  Per-update cost is
+objects it drains, as one oid column and one coordinate column, into a fresh
+STR-packed immutable run.  Per-update cost is
 therefore O(memtable) amortized -- independent of how many objects the index
 holds -- which is the whole point under update-dominant traffic.
 
@@ -12,9 +13,10 @@ newest to oldest).  A version found in run *i* counts only if **no newer
 component mentions the oid** -- a ``seen``-set alone would be wrong: an
 object whose newer position moved *outside* the query rectangle never
 enters the result set, so its stale in-rect version in an older run would
-leak through.  The membership probe is bloom-gated and uncharged; the run
-tree pages a query touches are charged normally, and the number of runs
-probed is the query's read amplification (bounded by compaction).
+leak through.  The membership probe (a bisect on the run's sorted oid
+columns) is uncharged; the run tree pages a query touches are charged
+normally, and the number of runs probed is the query's read amplification
+(bounded by compaction).
 
 Compaction: size-tiered.  Runs whose sizes fall in the same ratio tier
 merge once ``size_ratio`` of them accumulate; a hard ``max_runs`` bound
@@ -31,10 +33,17 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.geometry import Point, Rect
-from repro.engine.buffer import FlushPolicy, UpdateBuffer, UpdateLog
+from repro.engine.buffer import (
+    FlushPolicy,
+    PendingUpdate,
+    UpdateBuffer,
+    UpdateLog,
+)
 from repro.engine.protocol import PageStore, position_of
-from repro.lsm.run import Run, build_run
+from repro.lsm.run import Run, as_column, build_run
 from repro.obs.metrics import get_registry
 from repro.storage.page import NO_PAGE, PageId
 
@@ -96,31 +105,24 @@ class CompactionStats:
 
 
 class _RunSink:
-    """Flush target: collects the memtable batch instead of applying it.
+    """Flush target: takes the memtable batch as columns instead of applying it.
 
-    ``UpdateBuffer.flush`` wants an index with insert/update; the LSM does
-    not apply updates in place -- it bulk-loads them into a fresh run -- so
-    the sink records the coalesced batch for :func:`build_run`.
+    ``UpdateBuffer.flush`` hands an index exposing ``apply_batch`` the whole
+    batch in one call; the LSM does not apply updates in place -- it
+    bulk-loads them into a fresh run -- so the sink turns the coalesced
+    batch into the oid-ascending columns :func:`build_run` takes.
     """
 
     def __init__(self) -> None:
-        self.items: List[Tuple[int, Point]] = []
+        self.oids = np.empty(0, dtype=np.int64)
+        self.coords = np.empty((0, 0))
 
-    def insert(
-        self, obj_id: int, position: Point, now: Optional[float] = None
-    ) -> PageId:
-        self.items.append((obj_id, position))
-        return NO_PAGE
-
-    def update(
-        self,
-        obj_id: int,
-        old_position: Point,
-        new_position: Point,
-        now: Optional[float] = None,
-    ) -> PageId:
-        self.items.append((obj_id, new_position))
-        return NO_PAGE
+    def apply_batch(self, batch: Sequence[PendingUpdate]) -> int:
+        oids = np.fromiter((u.oid for u in batch), np.int64, len(batch))
+        order = np.argsort(oids)  # one pending update per oid: no ties
+        self.oids = oids[order]
+        self.coords = np.array([u.point for u in batch], dtype=np.float64)[order]
+        return len(batch)
 
 
 class LSMRTree:
@@ -313,10 +315,10 @@ class LSMRTree:
         if self.memtable.pending_for(oid) is not None:
             return True
         for run in reversed(self._runs):
-            if run.is_tombstoned(oid):
-                return False
             if run.contains_live(oid):
                 return True
+            if run.tombstones and run.is_tombstoned(oid):
+                return False
         return False
 
     def _superseded(self, oid: int, run_index: int) -> bool:
@@ -328,12 +330,6 @@ class LSMRTree:
             if self._runs[j].mentions(oid):
                 return True
         return False
-
-    def _mentioned_at_or_after(self, oid: int, run_index: int) -> bool:
-        """Like :meth:`_superseded` but inclusive of ``run_index`` (the
-        compactor's "is this window version garbage?" probe, where
-        ``run_index`` is the first run *after* the merge window)."""
-        return self._superseded(oid, run_index - 1)
 
     def iter_objects(self) -> Iterator[Tuple[int, Point]]:
         """Every live (oid, newest position); uncharged (diagnostics)."""
@@ -366,16 +362,20 @@ class LSMRTree:
         with timer if timer is not None else _NULL_CTX:
             sink = _RunSink()
             applied = self.memtable.flush(sink, reason)
-            tombstones = sorted(
-                oid
-                for oid in self._mem_dead
-                if any(run.mentions(oid) for run in self._runs)
+            tombstones = np.array(
+                sorted(
+                    oid
+                    for oid in self._mem_dead
+                    if any(run.mentions(oid) for run in self._runs)
+                ),
+                dtype=np.int64,
             )
             self._mem_dead.clear()
-            if sink.items or tombstones:
+            if len(sink.oids) or len(tombstones):
                 run = build_run(
                     self._pager,
-                    sink.items,
+                    sink.oids,
+                    sink.coords,
                     tombstones,
                     self._next_seq,
                     max_entries=self.max_entries,
@@ -387,7 +387,7 @@ class LSMRTree:
             self.flushes += 1
         if registry.enabled:
             registry.inc("lsm.flush.count")
-            registry.inc("lsm.flush.entries", len(sink.items))
+            registry.inc("lsm.flush.entries", len(sink.oids))
         if self.config.auto_compact:
             self.maybe_compact()
         return applied
@@ -468,39 +468,64 @@ class LSMRTree:
             steps += 1
         return steps
 
+    def _mentions(self, runs: Sequence[Run]) -> np.ndarray:
+        """Every oid ``runs`` mention, live or tombstoned (unsorted column)."""
+        tables = [t for run in runs for t in (run.oids, run.tombstones)]
+        return np.concatenate([_NO_OIDS] + [as_column(t) for t in tables])
+
     def _merge(self, start: int, end: int) -> Dict[str, int]:
         window = self._runs[start:end]
-        resolved: Dict[int, Point] = {}
-        dead: set = set()
-        # Newest-first within the window: first mention wins.
+        # One row per mention, newest run first.  ``rows`` points a live
+        # mention at its coordinates and marks a tombstone with -1.
+        keys: List[np.ndarray] = []
+        rows: List[np.ndarray] = []
+        positions: List[np.ndarray] = []
+        live_rows = 0
         for run in reversed(window):
-            for oid, point in run.read_items():  # charged reads
-                if oid not in resolved and oid not in dead:
-                    resolved[oid] = point
-            for oid in run.tombstones:
-                if oid not in resolved and oid not in dead:
-                    dead.add(oid)
+            oids, coords = run.read_columns()  # charged reads
+            tombs = as_column(run.tombstones)
+            keys += [oids, tombs]
+            rows += [
+                np.arange(live_rows, live_rows + len(oids)),
+                np.full(len(tombs), -1),
+            ]
+            if len(oids):
+                positions.append(coords)
+                live_rows += len(oids)
+        # First mention wins: unique() keeps each oid's first index, sorted
+        # by oid -- the order a run's columns are built in.
+        mentioned, first = np.unique(np.concatenate(keys), return_index=True)
+        row = np.concatenate(rows)[first]
         # Versions any newer-than-window component supersedes are garbage.
-        items = [
-            (oid, point)
-            for oid, point in resolved.items()
-            if not self._mentioned_at_or_after(oid, end)
-        ]
+        newer = np.concatenate(
+            [
+                self._mentions(self._runs[end:]),
+                np.fromiter(self._mem_dead, np.int64, len(self._mem_dead)),
+                np.fromiter(
+                    (u.oid for u in self.memtable.iter_pending()), np.int64
+                ),
+            ]
+        )
+        current = ~np.isin(mentioned, newer)
+        live = current & (row >= 0)
+        oids = mentioned[live]
+        coords = (
+            np.concatenate(positions)[row[live]] if len(oids) else np.empty((0, 0))
+        )
         # Tombstones survive only while an *older* run still holds a
         # version they must suppress; at the bottom of the tree they drop.
-        tombstones = [
-            oid
-            for oid in dead
-            if not self._mentioned_at_or_after(oid, end)
-            and any(self._runs[j].mentions(oid) for j in range(start))
+        dead = row < 0
+        tombstones = mentioned[
+            dead & current & np.isin(mentioned, self._mentions(self._runs[:start]))
         ]
-        dropped_tombstones = len(dead) - len(tombstones)
+        dropped_tombstones = int(dead.sum()) - len(tombstones)
         replacement: List[Run] = []
         pages_written = 0
-        if items or tombstones:
+        if len(oids) or len(tombstones):
             merged = build_run(
                 self._pager,
-                items,
+                oids,
+                coords,
                 tombstones,
                 self._next_seq,
                 max_entries=self.max_entries,
@@ -517,13 +542,13 @@ class LSMRTree:
         stats = self.compaction
         stats.compactions += 1
         stats.runs_merged += len(window)
-        stats.entries_rewritten += len(items)
+        stats.entries_rewritten += len(oids)
         stats.pages_rewritten += pages_written
         stats.bytes_rewritten += pages_written * page_size
         stats.tombstones_dropped += dropped_tombstones
         return {
             "runs_merged": len(window),
-            "entries": len(items),
+            "entries": len(oids),
             "tombstones": len(tombstones),
             "pages_written": pages_written,
             "bytes_rewritten": pages_written * page_size,
@@ -620,6 +645,9 @@ class LSMRTree:
             f"memtable={len(self.memtable)}, flushes={self.flushes}, "
             f"compactions={self.compaction.compactions})"
         )
+
+
+_NO_OIDS = np.empty(0, dtype=np.int64)
 
 
 class _NullCtx:

@@ -333,6 +333,24 @@ class SoAEntries:
         for i, child in enumerate(self.children):
             yield child, tuple(c[i] for c in los)
 
+    def fill_points(self, oids: array, columns: Sequence[array]) -> None:
+        """Replace the contents with point entries held in packed columns:
+        ``oids`` an ``array('q')``, ``columns`` one ``array('d')`` per
+        dimension.  The container keeps the arrays it is given.  The bulk
+        loaders' path: a leaf is filled from column slices, with no
+        per-entry object.
+        """
+        self.dim = len(columns)
+        self.children = oids
+        self.los = tuple(columns)
+        self.his = tuple(column[:] for column in columns)
+
+    def point_columns(self) -> Tuple[array, Tuple[array, ...]]:
+        """A leaf's ``(oids, columns)``: the ``array('q')`` id column and one
+        ``array('d')`` coordinate column per dimension (none when empty).
+        Read-only for callers; the inverse of :meth:`fill_points`."""
+        return self.children, self.los
+
     # -- whole-node scans ----------------------------------------------------
 
     def intersecting_indices(self, qlo: Point, qhi: Point) -> List[int]:
@@ -461,6 +479,24 @@ class ObjectEntries:
     def iter_points(self) -> Iterator[Tuple[int, Point]]:
         for entry in self._items:
             yield entry.child, entry.rect.lo
+
+    def fill_points(self, oids: array, columns: Sequence[array]) -> None:
+        points = zip(*(column.tolist() for column in columns))
+        self._items = [
+            Entry(Rect._make(point, point), oid)
+            for oid, point in zip(oids.tolist(), points)
+        ]
+
+    def point_columns(self) -> Tuple[array, Tuple[array, ...]]:
+        items = self._items
+        dim = len(items[0].rect.lo) if items else 0
+        return (
+            array("q", [entry.child for entry in items]),
+            tuple(
+                array("d", [entry.rect.lo[d] for entry in items])
+                for d in range(dim)
+            ),
+        )
 
     # -- whole-node scans (per-entry flat-tuple kernels, as before PR 7) -----
 

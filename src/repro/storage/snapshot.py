@@ -409,9 +409,9 @@ def _lsm_document(index: LSMRTree) -> Dict:
 
     Every run tree allocates from one pager, so the page table is encoded
     once; each run contributes only its tree configuration plus its sorted
-    oid/tombstone side tables (blooms are rebuilt, never serialized).  The
-    memtable is serialized in canonical arrival (seq) order and tombstone
-    sets are sorted, so save -> load -> save is byte-stable.
+    oid/tombstone side tables.  The memtable is serialized in canonical
+    arrival (seq) order and tombstone sets are sorted, so save -> load ->
+    save is byte-stable.
     """
     config = index.config
     return {

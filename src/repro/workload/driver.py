@@ -167,9 +167,7 @@ class SimulationDriver:
                         # put() writes the WAL record itself (before it
                         # acknowledges) when the buffer carries a log.
                         buffer.put(record.oid, old, record.point, t)
-                        reason = buffer.policy.flush_reason(
-                            len(buffer), buffer.oldest_t, t
-                        )
+                        reason = buffer.flush_reason(t)
                         if reason is not None:
                             applied = buffer.flush(self.index, reason)
                             if durability is not None:

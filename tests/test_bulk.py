@@ -1,11 +1,17 @@
 """Unit tests for STR bulk loading."""
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.core.geometry import Rect
 from repro.rtree import RTree, str_pack
-from repro.rtree.bulk import str_pack_rects
+from repro.rtree.bulk import _tile, str_pack_columns, str_pack_rects
+from repro.rtree.node import Entry, RTreeNode, set_default_layout
+from repro.storage.page import NO_PAGE
 from repro.storage.pager import Pager
+from repro.storage.snapshot import build_document
 from tests.conftest import brute_force_range, random_points, random_query
 
 
@@ -84,6 +90,110 @@ class TestStrPack:
         got = sorted(oid for oid, _ in tree.range_search(Rect((0, 0), (100, 100))))
         expected = sorted((set(points) - {0}) | {999})
         assert got == expected
+
+
+def reference_str_pack(tree, items, fill):
+    """The per-entry loader the column kernel replaced: one ``Entry`` per
+    point, ``sorted()`` tiling at every level.  Kept as the reference the
+    kernel must reproduce page for page."""
+    pager = tree.pager
+    capacity = max(2, int(tree.max_entries * fill))
+    entries = [Entry.for_point(tuple(point), oid) for oid, point in items]
+    level = 0
+    nodes = []
+    for group in _tile(entries, capacity):
+        node = RTreeNode(level=0)
+        node.entries = group
+        node.mbr = node.tight_mbr()
+        pager.allocate(node)
+        nodes.append(node)
+    while len(nodes) > 1:
+        level += 1
+        parents = []
+        for group in _tile([Entry(n.mbr, n.pid) for n in nodes], capacity):
+            parent = RTreeNode(level=level)
+            parent.entries = group
+            parent.mbr = parent.tight_mbr()
+            pager.allocate(parent)
+            for entry in group:
+                pager.inspect(entry.child).parent = parent.pid
+            parents.append(parent)
+        nodes = parents
+    nodes[0].parent = NO_PAGE
+    pager.free(tree.root_pid)
+    tree._root_pid = nodes[0].pid
+    tree._size = len(entries)
+    return tree
+
+
+def _document(loader, items, fill, max_entries=8):
+    tree = RTree(Pager(), max_entries=max_entries)
+    loader(tree, items, fill)
+    assert len(tree) == len(items)
+    return json.dumps(build_document(tree, kind="rtree"), sort_keys=True)
+
+
+def _grid(n, seed):
+    rng = np.random.default_rng(seed)
+    # Few distinct values per axis: plenty of x ties, y ties and duplicates.
+    return [
+        (oid, (float(x), float(y)))
+        for oid, (x, y) in enumerate(rng.integers(0, 6, size=(n, 2)).tolist())
+    ]
+
+
+#: capacity is 7 at max_entries=8, fill=0.9.
+EDGE_CASES = {
+    "below_capacity": [(oid, (float(oid), 1.0)) for oid in range(5)],
+    "exactly_one_leaf": _grid(7, 1),
+    # 9 pages -> 3 slices of 21: the last slice ends on the boundary.
+    "on_slice_boundary": _grid(63, 2),
+    "one_past_slice_boundary": _grid(64, 3),
+    "duplicate_x_and_points": _grid(200, 4),
+    "all_one_point": [(oid, (2.0, 2.0)) for oid in range(40)],
+    "one_dimensional": [(oid, (float(oid * 7 % 31),)) for oid in range(50)],
+    "integer_coordinates": [(oid, (oid * 5 % 17, oid * 3 % 11)) for oid in range(90)],
+    "signed_zeros": [
+        (oid, ((-0.0, 0.0)[oid % 2], (0.0, -0.0, 1.0)[oid % 3])) for oid in range(60)
+    ],
+    "unsorted_oids": [(oid * 37 % 101, (float(oid % 9), float(oid % 4))) for oid in range(101)],
+}
+
+
+class TestColumnKernelMatchesPerEntryLoader:
+    @pytest.mark.parametrize("layout", ["soa", "object"])
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_same_snapshot_bytes(self, case, layout):
+        items = EDGE_CASES[case]
+        previous = set_default_layout(layout)
+        try:
+            for fill in (0.9, 0.5):
+                assert _document(str_pack, items, fill) == _document(
+                    reference_str_pack, items, fill
+                )
+        finally:
+            set_default_layout(previous)
+
+    def test_no_numpy_scalar_reaches_a_node(self, tree):
+        str_pack(tree, EDGE_CASES["integer_coordinates"])
+        root = tree.pager.inspect(tree.root_pid)
+        assert all(type(c) is float for c in root.mbr.lo + root.mbr.hi)
+        for oid, point in tree.iter_objects():
+            assert type(oid) is int
+            assert all(type(c) is float for c in point)
+        for oid, point in tree.range_search(Rect((0, 0), (20, 20))):
+            assert type(oid) is int and all(type(c) is float for c in point)
+
+    def test_empty_columns_have_no_dimension(self, tree):
+        str_pack_columns(tree, np.empty(0, dtype=np.int64), np.empty((0, 0)))
+        assert len(tree) == 0 and tree.height == 1
+
+    def test_checks_come_before_the_empty_shortcut(self, tree):
+        tree.insert(1, (0, 0))
+        with pytest.raises(ValueError):
+            str_pack(tree, [])
+        with pytest.raises(ValueError):
+            str_pack(RTree(Pager(), max_entries=8), [], fill=1.5)
 
 
 class TestStrPackRects:

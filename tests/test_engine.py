@@ -239,6 +239,66 @@ class TestUpdateBuffer:
         assert buffer.stats.applied == 3
         assert buffer.stats.to_dict()["buffered"] == 3
 
+    @pytest.mark.parametrize(
+        "policy, expected",
+        [
+            (
+                FlushPolicy(batch_size=3),
+                [None, None, None, "size", None, None, "size", None, None, None],
+            ),
+            (
+                FlushPolicy(batch_size=0, horizon=10.0),
+                [None, None, None, None, None, "horizon", None, None, "horizon", None],
+            ),
+            (
+                FlushPolicy(batch_size=3, horizon=10.0),
+                [None, None, None, "size", None, None, "size", None, None, "horizon"],
+            ),
+        ],
+    )
+    def test_flush_reason_on_a_scripted_sequence(self, policy, expected):
+        """``flush_reason(now)`` answers what evaluating the policy over
+        ``(len, oldest_t, now)`` answers, put by put."""
+        script = [
+            (1, 0.0),
+            (2, 4.0),
+            (1, 9.0),  # coalesces: the oldest pending timestamp moves 0 -> 4
+            (3, 11.0),  # 11 - 4 < horizon (11 - 0 would not be); third object
+            (2, 14.5),
+            (4, 19.0),
+            (5, 25.0),
+            (6, 30.0),
+            (6, 41.0),
+            (7, 60.0),
+        ]
+        buffer = UpdateBuffer(policy)
+        index = _RecordingIndex()
+        reasons = []
+        for oid, t in script:
+            buffer.put(oid, None, (t, t), t)
+            reason = buffer.flush_reason(t)
+            assert reason == policy.flush_reason(len(buffer), buffer.oldest_t, t)
+            assert buffer.should_flush(t) == (reason is not None)
+            reasons.append(reason)
+            if reason is not None:
+                buffer.flush(index, reason)
+        assert reasons == expected
+
+    def test_flush_reason_scans_timestamps_only_under_a_horizon(self):
+        class Counting(UpdateBuffer):
+            scans = 0
+
+            @property
+            def oldest_t(self):
+                type(self).scans += 1
+                return super().oldest_t
+
+        size_only = Counting(FlushPolicy(batch_size=4))
+        for oid in range(4):
+            size_only.put(oid, None, (0.0, 0.0), float(oid))
+            size_only.should_flush(float(oid))
+        assert size_only.flush_reason(9.0) == "size" and Counting.scans == 0
+
     def test_flush_keeps_unapplied_updates_on_failure(self):
         # Regression: flush used to clear the whole batch up front, so an
         # index raising mid-batch silently lost the failed + remaining

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.geometry import Rect
 from repro.health.verify import verify_index
-from repro.lsm import BloomFilter, LSMConfig, LSMRTree
+from repro.lsm import LSMConfig, LSMRTree
 from repro.obs import get_registry, set_enabled
 from repro.storage import Pager
 from repro.storage.iostats import IOCategory
@@ -26,25 +26,6 @@ def small_lsm(**overrides):
 def fill(lsm, n, *, start=0):
     for oid in range(start, start + n):
         lsm.insert(oid, (float(oid % 997), float(oid // 997)), now=float(oid))
-
-
-class TestBloom:
-    def test_no_false_negatives(self):
-        keys = list(range(0, 5000, 7))
-        bloom = BloomFilter.from_keys(keys)
-        for key in keys:
-            assert key in bloom
-
-    def test_filters_most_absent_keys(self):
-        bloom = BloomFilter.from_keys(range(1000))
-        misses = sum(1 for key in range(10_000, 20_000) if key in bloom)
-        # 10 bits/key targets ~1% false positives; allow generous slack.
-        assert misses < 500
-
-    def test_deterministic(self):
-        a = BloomFilter.from_keys(range(100))
-        b = BloomFilter.from_keys(range(100))
-        assert a._bits == b._bits
 
 
 class TestWritePath:
@@ -252,6 +233,113 @@ class TestCompaction:
         with lsm.pager.stats.category(IOCategory.UPDATE):
             lsm.compact_step()
         assert lsm.pager.stats.reads(IOCategory.UPDATE) > 0
+
+
+class TestColumnEdgeCases:
+    """Shapes the column kernels have to get right: runs with no objects
+    (whose dimension is unknown), windows that resolve to nothing, and what
+    leaves the index as plain Python values."""
+
+    def test_tombstone_only_run_flushes_and_merges(self):
+        lsm = small_lsm(size_ratio=2, auto_compact=False)
+        fill(lsm, 16)
+        lsm.compact_step()  # one run of 16 at the bottom
+        lsm.delete(3)
+        lsm.flush()  # a run with one tombstone and no tree contents
+        lsm.delete(5)
+        lsm.flush()
+        assert [len(run) for run in lsm.runs] == [16, 0, 0]
+        assert lsm.runs[1].read_columns()[1].shape == (0, 0)
+        # The two tombstone-only runs share a tier: a window with no live
+        # entry at all, merged into one tombstone-only run.
+        assert lsm.compaction_needed() == (1, 3)
+        info = lsm.compact_step()
+        assert info["entries"] == 0 and info["tombstones"] == 2
+        assert list(lsm.runs[1].tombstones) == [3, 5]
+        assert lsm.compaction.tombstones_dropped == 0
+        assert sorted(dict(lsm.range_search(DOMAIN))) == [
+            oid for oid in range(16) if oid not in (3, 5)
+        ]
+        assert lsm.validate() == []
+        assert verify_index(lsm).ok
+
+    def test_window_that_resolves_to_nothing_leaves_no_run(self):
+        lsm = small_lsm(size_ratio=2, auto_compact=False)
+        fill(lsm, 8)
+        for oid in range(8):
+            lsm.delete(oid)
+        lsm.flush()
+        assert [run.size for run in lsm.runs] == [8, 8]
+        lsm.compact_step()
+        assert lsm.run_count == 0 and len(lsm) == 0
+        assert lsm.compaction.tombstones_dropped == 8
+        assert lsm.range_search(DOMAIN) == []
+
+    def test_stepped_merge_drops_what_the_memtable_supersedes(self):
+        lsm = small_lsm(size_ratio=2, auto_compact=False)
+        fill(lsm, 16)
+        lsm.update(2, None, (500.0, 500.0), now=99.0)  # pending, not flushed
+        lsm.delete(9)  # death mark, not flushed
+        info = lsm.compact_step()
+        assert info["entries"] == 14
+        assert 2 not in lsm.runs[0].oids and 9 not in lsm.runs[0].oids
+        assert dict(lsm.range_search(DOMAIN))[2] == (500.0, 500.0)
+        assert len(lsm) == 15
+        assert lsm.validate() == []
+
+    def test_one_dimensional_points(self):
+        lsm = small_lsm(size_ratio=2)
+        for oid in range(40):
+            lsm.insert(oid, (float(oid * 7 % 41),), now=float(oid))
+        for oid in range(0, 40, 3):
+            lsm.update(oid, None, (float(oid) + 100.0,), now=100.0 + oid)
+        found = dict(lsm.range_search(Rect((100.0,), (200.0,))))
+        assert found == {oid: (float(oid) + 100.0,) for oid in range(0, 40, 3)}
+        assert lsm.validate() == []
+
+    def test_integer_and_negative_zero_coordinates_store_as_floats(self):
+        lsm = small_lsm(size_ratio=2)
+        for oid in range(24):
+            lsm.insert(oid, (oid % 5, -0.0 if oid % 2 else 0), now=float(oid))
+        lsm.flush()
+        found = dict(lsm.range_search(Rect((0.0, 0.0), (4.0, 0.0))))
+        assert sorted(found) == list(range(24))
+        assert str(found[1][1]) == "-0.0" and str(found[2][1]) == "0.0"
+
+    def test_nothing_numpy_leaves_the_index(self):
+        lsm = small_lsm(size_ratio=2)
+        fill(lsm, 40)
+        lsm.delete(7)
+        lsm.flush()
+        plain = (int, float)
+        for oid, point in lsm.range_search(DOMAIN) + list(lsm.iter_objects()):
+            assert type(oid) is int and all(type(c) is float for c in point)
+        for dist, oid, point in lsm.nearest((5.0, 0.0), 3):
+            assert type(dist) in plain and type(oid) is int
+            assert all(type(c) is float for c in point)
+        for run in lsm.runs:
+            assert all(type(oid) is int for oid in run.oids)
+            assert all(type(oid) is int for oid in run.tombstones)
+        info = small_lsm(size_ratio=2, auto_compact=False)
+        fill(info, 16)
+        assert all(type(v) is int for v in info.compact_step().values())
+        assert all(type(v) is int for v in info.compaction.to_dict().values())
+
+    def test_run_takes_sorted_arrays_as_given_and_sorts_anything_else(self):
+        from array import array
+
+        from repro.lsm import Run
+
+        lsm = small_lsm()
+        fill(lsm, 8)
+        tree = lsm.runs[0].tree
+        table = array("q", [1, 4, 9])
+        run = Run(tree, table, array("q"), seq=0)
+        assert run.oids is table
+        assert list(Run(tree, [9, 1, 4], {7, 2}, seq=0).oids) == [1, 4, 9]
+        assert list(Run(tree, [9, 1, 4], {7, 2}, seq=0).tombstones) == [2, 7]
+        assert run.mentions(4) and not run.mentions(5)
+        assert run.contains_live(9) and not run.is_tombstoned(9)
 
 
 class TestFlatUpdateCost:

@@ -104,11 +104,11 @@ def restore_layout():
     set_default_layout(prev)
 
 
-def _run_inline(kind, layout, ops):
+def _run_inline(kind, layout, ops, **options):
     prev = set_default_layout(layout)
     try:
         pager = Pager()
-        index = make_index(kind, pager, DOMAIN, max_entries=5)
+        index = make_index(kind, pager, DOMAIN, max_entries=5, **options)
         results = _replay(index, ops, pager.stats, kind=kind)
         ledger = pager.stats.to_dict()
         doc = json.dumps(build_document(index), sort_keys=True)
@@ -125,6 +125,22 @@ def test_inline_layout_parity(kind, restore_layout):
     assert soa[0] == obj[0], "query result sequences diverged"
     assert soa[1] == obj[1], "I/O ledgers diverged"
     assert soa[2] == obj[2], "snapshot documents diverged"
+
+
+def test_lsm_layout_parity(restore_layout):
+    """The LSM's flush and merge fill leaves from columns and read them back
+    as columns; the per-entry container must give the same trees.  Sized so
+    the trace flushes ~35 times and merges in every tier."""
+    ops = _trace()
+    knobs = dict(lsm_memtable=8, lsm_size_ratio=2, lsm_max_runs=4)
+    soa = _run_inline(IndexKind.LSM, "soa", ops, **knobs)
+    obj = _run_inline(IndexKind.LSM, "object", ops, **knobs)
+    assert soa[0] == obj[0], "query result sequences diverged"
+    assert soa[1] == obj[1], "I/O ledgers diverged"
+    assert soa[2] == obj[2], "snapshot documents diverged"
+    document = json.loads(soa[2])
+    assert len(document["index"]["runs"]) > 1
+    assert any(run["tombstones"] for run in document["index"]["runs"])
 
 
 def _ledger_bytes(ledger) -> bytes:
