@@ -12,12 +12,16 @@ ledgers):
 * buffering an update charges **nothing** -- the memtable is main memory
   (a production system would add a sequential log write, which the paper's
   page-I/O metric does not count for in-place indexes either);
-* a flush charges exactly the index I/O of the operations it applies, under
-  whatever :class:`~repro.storage.iostats.IOStats` category is active at the
-  caller (the driver flushes inside its UPDATE scope);
+* a flush charges exactly the page accesses its apply makes, under whatever
+  :class:`~repro.storage.iostats.IOStats` category is active at the caller
+  (the driver flushes inside its UPDATE scope).  An index that takes the
+  batch whole (``apply_batch``) is charged once per visit for each page the
+  batch touches, with one page in hand at a time and nothing cached from one
+  batch to the next; an index without it is charged update by update;
 * reads must not see stale data: the executor's contract is that callers
   flush before serving a query (the driver does), so a batched run returns
-  bit-identical query results to an unbatched one.
+  the same query results as an unbatched one -- identical as sets; the
+  order within a result, like the tree's shape, may differ.
 
 Flush policies: **size** (``batch_size`` distinct pending objects) and
 **time-horizon** (oldest pending update older than ``horizon`` relative to
@@ -282,13 +286,22 @@ class UpdateBuffer:
         still-unapplied updates stay pending -- a retry (or a WAL replay
         after a crash) sees them again instead of silently losing them.
 
-        Batch dispatch: an index exposing ``apply_batch`` (the parallel
-        sharded engine) receives the whole sorted batch in one call, so it
-        can group the applies by shard and dispatch them to workers
-        concurrently instead of one routing round-trip per update.  The
-        contract is all-or-nothing per call: ``apply_batch`` either applies
-        the full batch (returning the op count) or raises with the index
-        unchanged, in which case everything stays pending.
+        Batch dispatch: an index exposing ``apply_batch`` receives the whole
+        sorted batch in one call and the per-update loop below is not used.
+        The lazy-R-tree and alpha-tree group the batch by page (one read per
+        hash bucket, one read and one write per touched leaf); the parallel
+        sharded engine groups it by shard and dispatches to workers
+        concurrently; the LSM's flush sink turns it into a run.
+
+        The ``apply_batch`` contract: the batch arrives in ``(t, seq)``
+        order; a provider that may also be handed an uncoalesced batch (the
+        serving daemon's writer does that) resolves a repeated id to its
+        last entry; the return value is the op count, ``len(batch)``.  It is
+        all-or-nothing per call for anything the provider can check up
+        front -- an id it does not hold raises ``KeyError`` before a page is
+        changed -- and whenever it raises, everything stays pending; moves
+        are idempotent, so re-applying the batch after the fault is repaired
+        is safe.
         """
         if not self._pending:
             return 0

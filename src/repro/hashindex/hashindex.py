@@ -10,14 +10,16 @@ Because entries are ordered by id, the structure is direct-addressed: entry
 ``i`` lives at slot ``i % entries_per_bucket`` of bucket page
 ``i // entries_per_bucket``.  A lookup therefore costs exactly one page read
 and an update one read plus one write; no directory or overflow chains are
-needed.  Each entry is an (id, pointer) pair -- 16 bytes at the paper's
-geometry, giving 256 entries per 4096-byte page, so the paper's 8 MB budget
-(S_hash) covers half a million objects.
+needed.  Both are per-*page* costs: :meth:`HashIndex.get_many` and
+:meth:`HashIndex.set_many` serve any number of ids that share a bucket with
+one read (plus one write) of it.  Each entry is an (id, pointer) pair -- 16
+bytes at the paper's geometry, giving 256 entries per 4096-byte page, so the
+paper's 8 MB budget (S_hash) covers half a million objects.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.storage.page import Page, PageId
 from repro.storage.pager import Pager
@@ -90,6 +92,33 @@ class HashIndex:
         page = self._pager.read(pid)
         assert isinstance(page, BucketPage)
         return page.slots[slot]
+
+    def get_many(self, obj_ids: Sequence[int]) -> List[Optional[PageId]]:
+        """The pointers for ``obj_ids`` in request order, coalescing I/O per
+        bucket page.
+
+        The read-side twin of :meth:`set_many`: ids sharing a bucket cost one
+        read total, and one bucket page is in hand at a time.  An unallocated
+        bucket costs nothing and an unset slot yields ``None``.  Every id is
+        validated before the first page is read.
+        """
+        self._locate(min(obj_ids, default=0))  # rejects a negative id
+        per_bucket = self.entries_per_bucket
+        by_bucket: Dict[int, List[int]] = {}
+        for position, obj_id in enumerate(obj_ids):
+            by_bucket.setdefault(obj_id // per_bucket, []).append(position)
+        pointers: List[Optional[PageId]] = [None] * len(obj_ids)
+        for bucket_no, positions in by_bucket.items():
+            pid = self._buckets.get(bucket_no)
+            if pid is None:
+                continue
+            page = self._pager.read(pid)
+            assert isinstance(page, BucketPage)
+            slots = page.slots
+            first_id = bucket_no * per_bucket
+            for position in positions:
+                pointers[position] = slots[obj_ids[position] - first_id]
+        return pointers
 
     def set(self, obj_id: int, data_pid: PageId) -> None:
         """Point ``obj_id`` at ``data_pid``; one read plus one write."""

@@ -15,11 +15,25 @@ The hash index is kept exact: whenever a split or a condense-reinsertion
 moves objects to a different leaf page, the affected bucket pages are
 rewritten (coalesced per bucket), which is the honest maintenance cost of
 the scheme.
+
+Those are per-*page* costs, so a batch pays them per page, not per update.
+:meth:`LazyRTree.apply_batch` (what ``UpdateBuffer.flush`` and the serving
+daemon's writer call) costs, for a batch of ``n`` moves:
+
+* **one read per distinct hash bucket** the ``n`` ids fall in;
+* **one read + one write per distinct leaf** they live in -- every same-MBR
+  hit overwritten and every escapee removed in that one visit;
+* one ordinary ``RTree.insert`` per escapee, then **one read + one write per
+  hash bucket** any repoint of the batch (the escapees' own, or a split's)
+  lands in.
+
+One page is in hand at a time and nothing is kept between batches.  A batch
+of one costs exactly what :meth:`LazyRTree.update` does.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.geometry import Point, Rect
 from repro.hashindex import HashIndex
@@ -27,6 +41,9 @@ from repro.rtree.node import RTreeNode
 from repro.rtree.rtree import RTree
 from repro.storage.page import PageId
 from repro.storage.pager import Pager
+
+if TYPE_CHECKING:
+    from repro.engine.buffer import PendingUpdate
 
 
 class LazyRTree:
@@ -127,6 +144,99 @@ class LazyRTree:
         new_pid = self.tree.insert(obj_id, new_point)
         self.hash.set(obj_id, new_pid)
         return new_pid
+
+    def apply_batch(self, batch: Sequence["PendingUpdate"]) -> int:
+        """Apply a whole batch of moves and inserts, page by page.
+
+        The batch need not be coalesced: a repeated id resolves to its last
+        entry, in whose place it is applied.  Whether an id is a move or an
+        insert is what the hash index says, not ``old_point``; an id the hash
+        does not hold must enter the batch as an insert (``old_point`` None),
+        else ``KeyError`` is raised before any page is changed.  Returns
+        ``len(batch)``.
+
+        The resulting tree is a valid lazy-R-tree holding the same objects at
+        the same points as sequential application would, but not the same
+        tree: all same-MBR tests run against the leaves as the batch found
+        them, before any escapee is re-inserted.
+
+        A stale hash pointer (corruption ``verify_index`` reports) cannot be
+        known before its leaf is read; it aborts the batch there with
+        ``KeyError``.  Objects already moved stay moved, the others keep
+        their old points, none is lost or doubled, and since a move is
+        idempotent the whole batch can be applied again after the repair.
+        """
+        target: Dict[int, Point] = {}
+        arrives: Set[int] = set()
+        for update in batch:
+            oid = update.oid
+            if oid in target:
+                del target[oid]  # re-queue at its last occurrence
+            elif update.old_point is None:
+                arrives.add(oid)
+            target[oid] = tuple(update.point)
+        by_leaf: Dict[PageId, List[Tuple[int, Point]]] = {}
+        homeless: Set[int] = set()
+        for move, pid in zip(target.items(), self.hash.get_many(list(target))):
+            if pid is not None:
+                by_leaf.setdefault(pid, []).append(move)
+            elif move[0] in arrives:
+                homeless.add(move[0])
+            else:
+                raise KeyError(f"object {move[0]} is not indexed")
+
+        # One visit per leaf, inlined: this loop is the batch's hot path.
+        tree = self.tree
+        read = tree.pager.read
+        write = tree.pager.write
+        hits = relocated = 0
+        try:
+            for pid, moves in by_leaf.items():
+                node = read(pid)
+                assert isinstance(node, RTreeNode)
+                mbr = node.mbr
+                entries = node.entries
+                vacated: List[Tuple[int, int]] = []
+                for oid, point in moves:
+                    idx = entries.find_child(oid)
+                    if idx is None:
+                        raise KeyError(f"stale hash pointer for object {oid}")
+                    if mbr is not None and mbr.contains_point(point):
+                        entries.set_point(idx, point)
+                    else:
+                        vacated.append((idx, oid))
+                hits += len(moves) - len(vacated)
+                if vacated:
+                    # Homeless only once they are really out of the leaf: a
+                    # stale pointer above must not re-insert a resident.
+                    relocated += len(vacated)
+                    tree.delete_many_from_node(node, [idx for idx, _ in vacated])
+                    homeless.update(oid for _, oid in vacated)
+                else:
+                    write(node)
+        finally:
+            # Runs on the error path too: whatever already left its leaf
+            # goes back in, so every object stays indexed exactly once.
+            self.lazy_hits += hits
+            self.relocations += relocated
+            self._insert_all([move for move in target.items() if move[0] in homeless])
+        return len(batch)
+
+    def _insert_all(self, placements: Sequence[Tuple[int, Point]]) -> None:
+        """Insert in order, gathering every hash repoint -- each object's own
+        and any a split reports -- for one last-writer-wins ``set_many``."""
+        if not placements:
+            return
+        tree = self.tree
+        repoint: Dict[int, PageId] = {}
+        report_moves = tree.on_entries_moved
+        tree.on_entries_moved = repoint.update
+        try:
+            for oid, point in placements:
+                repoint[oid] = tree.insert(oid, point)
+        finally:
+            tree.on_entries_moved = report_moves
+            self.hash.set_many(repoint.items())
 
     def range_search(self, rect: Rect) -> List[Tuple[int, Point]]:
         return self.tree.range_search(rect)

@@ -455,13 +455,22 @@ class RTree:
         second read for the same page.
         """
         point = node.entries.point_at(idx)
-        node.entries.pop(idx)
-        self._size -= 1
-        if node.entries or node.is_root:
+        self.delete_many_from_node(node, (idx,))
+        return point
+
+    def delete_many_from_node(self, node: RTreeNode, indexes: Sequence[int]) -> None:
+        """Remove the entries at ``indexes`` from an already-read leaf and
+        settle the page once: one write, or an unlink if that emptied it --
+        the batch apply's one write per touched leaf, which also carries any
+        in-place overwrites the same visit made."""
+        entries = node.entries
+        for idx in sorted(indexes, reverse=True):
+            entries.pop(idx)
+        self._size -= len(indexes)
+        if entries or node.is_root:
             self._pager.write(node)
         else:
             self._unlink_empty(node)
-        return point
 
     def _unlink_empty(self, node: RTreeNode) -> None:
         """Free an emptied node and detach it from its parent, recursively."""

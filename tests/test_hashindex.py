@@ -98,6 +98,30 @@ class TestCharging:
         assert pager.stats.reads() == before_r + 2
         assert pager.stats.writes() == before_w + 2
 
+    def test_set_many_coalesces_a_dicts_items(self, index, pager):
+        index.set(0, 0)
+        index.set(4, 0)
+        repoint = {0: 1, 5: 9, 1: 2}
+        repoint[0] = 7  # last writer wins before the pages are touched
+        before_r, before_w = pager.stats.reads(), pager.stats.writes()
+        index.set_many(repoint.items())
+        assert pager.stats.reads() == before_r + 2
+        assert pager.stats.writes() == before_w + 2
+        assert [index.peek(i) for i in (0, 1, 5)] == [7, 2, 9]
+
+    def test_get_many_costs_one_read_per_allocated_bucket(self, index, pager):
+        index.set_many([(0, 10), (1, 11), (3, 13), (5, 15), (9, 19)])  # buckets 0-2
+        before_r, before_w = pager.stats.reads(), pager.stats.writes()
+        # 6 ids over buckets 0, 1 and the never-allocated bucket 250.
+        index.get_many([0, 5, 1, 3, 1000, 6])
+        assert pager.stats.reads() == before_r + 2
+        assert pager.stats.writes() == before_w
+
+    def test_get_many_on_unallocated_buckets_is_free(self, index, pager):
+        before = pager.stats.total()
+        assert index.get_many([999, 12]) == [None, None]
+        assert pager.stats.total() == before
+
     def test_peek_is_free(self, index, pager):
         index.set(0, 7)
         before = pager.stats.total()
@@ -111,6 +135,30 @@ class TestBulk:
         index.set_many([(0, 3)])
         assert len(index) == 2
         assert index.get(0) == 3
+
+    def test_get_many_answers_in_request_order(self, index):
+        index.set_many([(0, 10), (5, 15), (6, 16), (9, 19)])
+        # Interleaved buckets, a repeat, an unset slot and an unallocated bucket.
+        asked = [9, 0, 6, 2, 5, 0, 1000]
+        assert index.get_many(asked) == [19, 10, 16, None, 15, 10, None]
+        assert index.get_many([]) == []
+
+    def test_get_many_rejects_a_negative_id_before_reading(self, index, pager):
+        index.set(0, 1)
+        before = pager.stats.total()
+        with pytest.raises(ValueError):
+            index.get_many([0, -1])
+        assert pager.stats.total() == before
+
+    @given(st.lists(st.integers(0, 500), max_size=80))
+    def test_get_many_matches_get(self, asked):
+        pager = Pager()
+        index = HashIndex(pager, entries_per_bucket=8)
+        index.set_many((key, key * 3) for key in range(0, 500, 7))
+        before = pager.stats.reads()
+        assert index.get_many(asked) == [index.peek(key) for key in asked]
+        allocated = {key // 8 for key in asked} & {key // 8 for key in range(0, 500, 7)}
+        assert pager.stats.reads() - before == len(allocated)
 
     @given(st.dictionaries(st.integers(0, 500), st.integers(0, 10_000), max_size=60))
     def test_matches_dict_semantics(self, mapping):

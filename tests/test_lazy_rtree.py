@@ -1,10 +1,16 @@
 """Unit tests for the lazy-R-tree (hash-indexed updates, Section 2.1)."""
 
+import random
+
 import pytest
 
 from repro.core.geometry import Rect
-from repro.rtree import LazyRTree
+from repro.engine.buffer import PendingUpdate
+from repro.hashindex import HashIndex
+from repro.health import verify_index
+from repro.rtree import AlphaTree, LazyRTree
 from repro.storage.pager import Pager
+from repro.storage.snapshot import load_lazy_rtree, save_lazy_rtree
 from tests.conftest import brute_force_range, random_points, random_query
 
 
@@ -143,3 +149,196 @@ class TestMBRBehaviour:
             query = random_query(rng)
             got = sorted(oid for oid, _ in tree.range_search(query))
             assert got == brute_force_range(points, query)
+
+
+DOMAIN = Rect((0.0, 0.0), (100.0, 100.0))
+
+
+def _build(cls, rng, count, max_entries=8, entries_per_bucket=32):
+    """A tree of ``count`` random points over several hash buckets."""
+    pager = Pager()
+    tree = cls(
+        pager,
+        max_entries=max_entries,
+        hash_index=HashIndex(pager, entries_per_bucket=entries_per_bucket),
+    )
+    points = random_points(rng, count)
+    for oid, point in points.items():
+        tree.insert(oid, point)
+    return tree, points
+
+
+def _random_batch(rng, positions, size, t0):
+    """A coalesced batch: distinct ids, mostly small jitters (same-MBR hits),
+    some jumps across the domain (escapees), a few brand-new ids."""
+    known = rng.sample(sorted(positions), min(size, len(positions)))
+    fresh = range(max(positions) + 1, max(positions) + 1 + max(1, size // 10))
+    batch = []
+    for seq, oid in enumerate(known[: size - len(fresh)] + list(fresh)):
+        old = positions.get(oid)
+        if old is None or rng.random() < 0.25:
+            new = (rng.uniform(0, 100), rng.uniform(0, 100))
+        else:
+            new = (
+                min(100.0, max(0.0, old[0] + rng.gauss(0, 1.5))),
+                min(100.0, max(0.0, old[1] + rng.gauss(0, 1.5))),
+            )
+        batch.append(PendingUpdate(oid=oid, old_point=old, point=new, t=t0 + seq, seq=seq))
+    return batch
+
+
+def _apply_one_by_one(tree, batch):
+    for update in batch:
+        if update.old_point is None:
+            tree.insert(update.oid, update.point, now=update.t)
+        else:
+            tree.update(update.oid, update.old_point, update.point, now=update.t)
+
+
+class TestApplyBatch:
+    def test_batch_of_one_hit_costs_three_ios(self, tree, pager):
+        for i in range(8):
+            tree.insert(i, (float(i), 0.0))
+        reads, writes = pager.stats.reads(), pager.stats.writes()
+        applied = tree.apply_batch(
+            [PendingUpdate(oid=0, old_point=(0.0, 0.0), point=(0.5, 0.0), t=1.0, seq=1)]
+        )
+        assert applied == 1
+        assert pager.stats.reads() - reads == 2
+        assert pager.stats.writes() - writes == 1
+        assert (tree.lazy_hits, tree.relocations) == (1, 0)
+        assert tree.search_point((0.5, 0.0)) == [0]
+
+    def test_hits_cost_one_read_per_bucket_and_a_read_and_write_per_leaf(self, rng):
+        tree, points = _build(LazyRTree, rng, 300)
+        leaves = sum(1 for _ in tree.tree.iter_leaves())
+        pager = tree.pager
+        reads, writes = pager.stats.reads(), pager.stats.writes()
+        # Every object re-reports where it already is: 300 same-MBR hits.
+        tree.apply_batch(
+            [
+                PendingUpdate(oid=oid, old_point=point, point=point, t=0.0, seq=oid)
+                for oid, point in points.items()
+            ]
+        )
+        assert pager.stats.reads() - reads == tree.hash.bucket_count + leaves
+        assert pager.stats.writes() - writes == leaves
+        assert (tree.lazy_hits, tree.relocations) == (300, 0)
+
+    @pytest.mark.parametrize("cls", [LazyRTree, AlphaTree])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_a_sequential_twin(self, cls, seed):
+        batched, positions = _build(cls, random.Random(seed), 400)
+        twin, _ = _build(cls, random.Random(seed), 400)
+        rng = random.Random(seed * 101)
+        moves = 0
+        batched.pager.stats.reset()
+        twin.pager.stats.reset()
+        for round_no, size in enumerate([1, 300, 2, 47, 150, 7, 300, 64, 23, 300]):
+            batch = _random_batch(rng, positions, size, t0=1000.0 * round_no)
+            moves += sum(1 for update in batch if update.old_point is not None)
+            assert batched.apply_batch(batch) == len(batch)
+            _apply_one_by_one(twin, batch)
+            positions.update((update.oid, update.point) for update in batch)
+
+            assert sorted(batched.range_search(DOMAIN)) == sorted(positions.items())
+            assert sorted(twin.range_search(DOMAIN)) == sorted(positions.items())
+            assert batched.validate() == []
+            assert verify_index(batched).ok
+            assert len(batched) == len(twin) == len(positions)
+            assert batched.lazy_hits + batched.relocations == moves
+            assert twin.lazy_hits + twin.relocations == moves
+        assert batched.relocations > 0 and batched.lazy_hits > 0
+        assert batched.tree.on_entries_moved == batched._entries_moved
+        assert batched.pager.stats.total() < twin.pager.stats.total()
+        for _ in range(20):
+            query = random_query(rng)
+            assert sorted(batched.range_search(query)) == sorted(twin.range_search(query))
+
+    def test_repeated_id_resolves_to_its_last_entry(self, rng):
+        tree, points = _build(LazyRTree, rng, 60)
+        batch = [
+            PendingUpdate(oid=5, old_point=points[5], point=(1.0, 1.0), t=1.0, seq=1),
+            PendingUpdate(oid=6, old_point=points[6], point=(2.0, 2.0), t=2.0, seq=2),
+            PendingUpdate(oid=5, old_point=(1.0, 1.0), point=(99.0, 99.0), t=3.0, seq=3),
+            # An insert and a move of the same new id: the hash has never
+            # heard of it, so it is one insert at the final point.
+            PendingUpdate(oid=77, old_point=None, point=(3.0, 3.0), t=4.0, seq=4),
+            PendingUpdate(oid=77, old_point=(3.0, 3.0), point=(50.0, 50.0), t=5.0, seq=5),
+        ]
+        assert tree.apply_batch(batch) == 5
+        points.update({5: (99.0, 99.0), 6: (2.0, 2.0), 77: (50.0, 50.0)})
+        assert sorted(tree.range_search(DOMAIN)) == sorted(points.items())
+        assert len(tree) == 61
+        assert tree.lazy_hits + tree.relocations == 2
+        assert tree.validate() == []
+
+    def test_insert_of_an_indexed_id_is_a_move(self, rng):
+        tree, points = _build(LazyRTree, rng, 60)
+        tree.apply_batch(
+            [PendingUpdate(oid=9, old_point=None, point=(42.0, 42.0), t=1.0, seq=1)]
+        )
+        points[9] = (42.0, 42.0)
+        assert sorted(tree.range_search(DOMAIN)) == sorted(points.items())
+        assert tree.validate() == []
+
+    @pytest.mark.parametrize("cls", [LazyRTree, AlphaTree])
+    def test_unknown_id_raises_before_anything_changes(self, cls, rng):
+        tree, points = _build(cls, rng, 120)
+        batch = _random_batch(rng, points, 40, t0=0.0)
+        batch.insert(
+            20, PendingUpdate(oid=5000, old_point=(1.0, 1.0), point=(2.0, 2.0), t=0.5, seq=99)
+        )
+        writes = tree.pager.stats.writes()
+        with pytest.raises(KeyError):
+            tree.apply_batch(batch)
+        assert tree.pager.stats.writes() == writes
+        assert sorted(tree.range_search(DOMAIN)) == sorted(points.items())
+        assert (tree.lazy_hits, tree.relocations) == (0, 0)
+        assert tree.validate() == []
+
+    def test_stale_pointer_mid_batch_loses_no_object(self, rng):
+        tree, points = _build(LazyRTree, rng, 200)
+        batch = [
+            PendingUpdate(
+                oid=oid, old_point=points[oid],
+                point=(rng.uniform(0, 100), rng.uniform(0, 100)), t=float(oid), seq=oid,
+            )
+            for oid in range(150)
+        ]
+        # Corrupt the pointer of the batch's last object: every earlier
+        # leaf has been visited (and its escapees removed) when it surfaces.
+        elsewhere = next(
+            leaf.pid for leaf in tree.tree.iter_leaves() if leaf.pid != tree.hash.peek(149)
+        )
+        tree.hash.set(149, elsewhere)
+        with pytest.raises(KeyError, match="stale hash pointer"):
+            tree.apply_batch(batch)
+        held = tree.range_search(DOMAIN)
+        assert sorted(oid for oid, _ in held) == sorted(points)
+        assert len(tree) == 200
+        targets = {update.oid: update.point for update in batch}
+        assert all(point in (points[oid], targets.get(oid)) for oid, point in held)
+        assert tree.tree.on_entries_moved == tree._entries_moved
+        # The injected pointer is the only damage left behind ...
+        assert all("object 149 " in problem for problem in tree.validate())
+        # ... and once it is repaired the same batch applies again cleanly.
+        home = next(
+            leaf.pid for leaf in tree.tree.iter_leaves() if leaf.find_entry(149) is not None
+        )
+        tree.hash.set(149, home)
+        assert tree.apply_batch(batch) == len(batch)
+        points.update(targets)
+        assert sorted(tree.range_search(DOMAIN)) == sorted(points.items())
+        assert tree.validate() == []
+
+    def test_tree_loaded_from_a_snapshot_takes_batches(self, rng, tmp_path):
+        original, points = _build(LazyRTree, rng, 150)
+        save_lazy_rtree(original, tmp_path / "lazy.json")
+        tree = load_lazy_rtree(tmp_path / "lazy.json")
+        batch = _random_batch(rng, points, 120, t0=0.0)
+        tree.apply_batch(batch)
+        points.update((update.oid, update.point) for update in batch)
+        assert sorted(tree.range_search(DOMAIN)) == sorted(points.items())
+        assert tree.relocations > 0
+        assert tree.validate() == []

@@ -18,6 +18,7 @@ from repro.health import verify_index
 from repro.serve import EngineService, ServeClient, ServeConfig, ServerThread
 from repro.serve.protocol import CODEC_JSON
 from repro.storage import Pager
+from repro.storage.iostats import IOCategory
 from repro.workload import IndexKind, make_index
 
 DOMAIN = Rect((0.0, 0.0), (100.0, 100.0))
@@ -203,6 +204,52 @@ def test_replica_staleness_bounded_by_refresh_interval():
             assert {int(m[0]) for m in matches} == set(range(5))
     finally:
         daemon.shutdown()
+
+
+# -- the writer's batch ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", [IndexKind.LAZY, IndexKind.ALPHA])
+def test_uncoalesced_writer_batch_lands_on_the_ack_ledger(kind):
+    """The writer hands ``apply`` its queue as acked: an id may repeat, and
+    an insert may be followed by a move of the same id, in one batch."""
+    service = _service(kind=kind)
+    batch = [
+        service.ack_update(3, (50.0, 50.0), 1.0),
+        service.ack_update(4, (96.0, 3.0), 2.0),
+        service.ack_update(3, (12.5, 80.0), 3.0),  # same id twice: last wins
+        service.ack_update(99, (10.0, 10.0), 4.0),  # a new id ...
+        service.ack_update(99, (90.0, 5.0), 5.0),  # ... moved before it lands
+    ]
+    assert batch[3][1] is None and batch[4][1] == (10.0, 10.0)
+    assert service.apply(batch) == len(batch)
+    assert service.applied == service.acked == 5
+    assert dict(service.query_range(DOMAIN.lo, DOMAIN.hi)) == service.positions
+    assert service.positions[3] == (12.5, 80.0) and service.positions[99] == (90.0, 5.0)
+    assert len(service.index) == 21
+    assert verify_index(service.index).ok
+
+
+@pytest.mark.parametrize("target", ["hit", "escape"])
+def test_writer_batch_of_one_charges_what_update_does(target):
+    service = _service()
+    twin = _service()
+    old = service.positions[7]
+    # Its own position is inside its leaf's MBR; the far corner is outside
+    # every leaf of this load.
+    new = old if target == "hit" else (99.9, 99.9)
+    batched = service.store.stats.live(IOCategory.UPDATE)
+    assert service.apply([service.ack_update(7, new, 1.0)]) == 1
+    with twin.store.stats.category(IOCategory.UPDATE):
+        twin.index.update(7, old, new, now=1.0)
+    direct = twin.store.stats.live(IOCategory.UPDATE)
+    assert (batched.reads, batched.writes) == (direct.reads, direct.writes)
+    if target == "hit":
+        assert (batched.reads, batched.writes) == (2, 1)
+        assert service.index.lazy_hits == 1
+    else:
+        assert service.index.relocations == 1
+    assert dict(service.query_range(DOMAIN.lo, DOMAIN.hi)) == service.positions
 
 
 # -- crash recovery -----------------------------------------------------------
