@@ -458,12 +458,12 @@ def run_rebalance_bench():
     import tempfile
 
     from repro.engine import BoundaryPartition
-    from repro.storage.snapshot import build_document, load_sharded, save_sharded
+    from repro.storage.snapshot import build_document, load_index, save_index
 
     frozen = ShardedIndex(IndexKind.LAZY, domain, REBALANCE_SHARDS)
     replay_skewed(frozen, ops)
     with tempfile.TemporaryDirectory(prefix="bench-rebalance-") as tmp:
-        clone = load_sharded(save_sharded(frozen, Path(tmp) / "pre.json"))
+        clone = load_index(save_index(frozen, Path(tmp) / "pre.json"))
     plan = BoundaryPartition.from_points(
         domain, REBALANCE_SHARDS, frozen.position_map().values()
     )

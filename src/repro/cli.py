@@ -383,9 +383,9 @@ def cmd_build(args: argparse.Namespace) -> int:
     print(f"build I/Os:     {report.build_ios:>8}")
     print(f"index:          {tree}")
     if args.save:
-        from repro.storage.snapshot import save_ctrtree
+        from repro.storage.snapshot import save_index
 
-        path = save_ctrtree(tree, args.save)
+        path = save_index(tree, args.save)
         print(f"snapshot:       {path}")
     if args.metrics_out:
         if not _write_metrics(

@@ -30,7 +30,6 @@ from repro.core.overflow import DataPage, NodeBuffer, QSEntry
 from repro.core.ctrtree import CTNode, CTRTree
 from repro.core.adaptive import AdaptationManager
 from repro.core.builder import BuildReport, CTRTreeBuilder
-from repro.core.rebuild import RebuildPolicy, rebuild_ctrtree
 
 __all__ = [
     "Point",
@@ -56,6 +55,4 @@ __all__ = [
     "AdaptationManager",
     "BuildReport",
     "CTRTreeBuilder",
-    "RebuildPolicy",
-    "rebuild_ctrtree",
 ]

@@ -169,7 +169,6 @@ class ResilientServeClient:
         port: int,
         *,
         client_id: Optional[str] = None,
-        codec: str = "json",
         timeout: float = 5.0,
         policy: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
@@ -179,7 +178,6 @@ class ResilientServeClient:
     ) -> None:
         self.host = host
         self.port = port
-        self.codec = codec
         self.timeout = timeout
         self.client_id = client_id or f"rc-{uuid.uuid4().hex[:12]}"
         self.policy = policy or RetryPolicy()
@@ -206,9 +204,7 @@ class ResilientServeClient:
 
     def _ensure_connected(self) -> ServeClient:
         if self._client is None:
-            self._client = ServeClient(
-                self.host, self.port, codec=self.codec, timeout=self.timeout
-            )
+            self._client = ServeClient(self.host, self.port, timeout=self.timeout)
             self._connects += 1
             if self._connects > 1:
                 self._count("reconnects")

@@ -18,12 +18,7 @@ from repro.serve.lifecycle import (
     handle_signals,
     teardown_run,
 )
-from repro.serve.protocol import (
-    ProtocolError,
-    ServeClient,
-    ServeError,
-    codecs_available,
-)
+from repro.serve.protocol import ProtocolError, ServeClient, ServeError
 from repro.serve.replica import ReplicaSet, knn_search
 from repro.serve.server import ServeConfig, ServerThread, ServeServer
 from repro.serve.service import EngineService
@@ -40,7 +35,6 @@ __all__ = [
     "ServerThread",
     "ShutdownRequested",
     "TokenBucket",
-    "codecs_available",
     "describe_teardown",
     "handle_signals",
     "knn_search",

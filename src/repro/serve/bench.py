@@ -98,10 +98,8 @@ def sweep_index(index, domain: Rect, n: int = 8) -> List[SweepCell]:
     ]
 
 
-def sweep_server(
-    host: str, port: int, domain: Rect, n: int = 8, *, codec: str = "json"
-) -> List[SweepCell]:
-    with ServeClient(host, port, codec=codec) as client:
+def sweep_server(host: str, port: int, domain: Rect, n: int = 8) -> List[SweepCell]:
+    with ServeClient(host, port) as client:
         return [
             _canonical(
                 (m[0], (m[1][0], m[1][1]))

@@ -122,7 +122,6 @@ def _run_client(
     host: str,
     port: int,
     ops: Sequence[Op],
-    codec: str,
     max_retries: int,
     backoff_cap: float,
     idx: int = 0,
@@ -145,7 +144,6 @@ def _run_client(
         host,
         port,
         client_id=f"lg-{idx}",
-        codec=codec,
         policy=policy,
         rng=random.Random((seed << 16) ^ idx),
     ) as client:
@@ -192,14 +190,13 @@ def _client_proc_main(
     host: str,
     port: int,
     ops: Sequence[Op],
-    codec: str,
     max_retries: int,
     backoff_cap: float,
     seed: int,
 ) -> None:
     try:
         result = _run_client(
-            host, port, ops, codec, max_retries, backoff_cap, idx, seed
+            host, port, ops, max_retries, backoff_cap, idx, seed
         )
     except Exception as exc:  # surface child failures instead of hanging
         result = {"fatal": f"{type(exc).__name__}: {exc}"}
@@ -234,7 +231,6 @@ def run_loadgen(
     *,
     n_clients: int,
     mode: str = "process",
-    codec: str = "json",
     max_retries: int = 16,
     backoff_cap: float = 0.2,
     seed: int = 0,
@@ -258,7 +254,6 @@ def run_loadgen(
                     host,
                     port,
                     chunk,
-                    codec,
                     max_retries,
                     backoff_cap,
                     seed,
@@ -281,7 +276,7 @@ def run_loadgen(
         def _worker(idx: int, chunk: Sequence[Op]) -> None:
             try:
                 results[idx] = _run_client(
-                    host, port, chunk, codec, max_retries, backoff_cap,
+                    host, port, chunk, max_retries, backoff_cap,
                     idx, seed,
                 )
             except Exception as exc:

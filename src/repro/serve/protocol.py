@@ -1,14 +1,8 @@
 """Wire protocol for the ``repro.serve`` daemon.
 
 Frames are length-prefixed: a 5-byte header -- ``!I`` payload length plus a
-1-byte codec tag -- followed by the payload.  Two codecs speak the same
-message shapes:
-
-* ``json`` (tag ``J``) -- always available, the default.
-* ``msgpack`` (tag ``M``) -- used only when the optional ``msgpack``
-  package is importable; the daemon never requires it (the container may
-  not ship it), it just decodes whichever tag a client sent and answers in
-  kind.
+1-byte codec tag -- followed by a JSON payload.  The tag is always ``J``;
+a frame carrying any other tag is a :class:`ProtocolError`.
 
 Messages are flat dicts.  A request carries ``op`` plus op-specific fields
 and an optional client-chosen ``id`` that the response echoes; a response
@@ -30,17 +24,11 @@ import socket
 import struct
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-try:  # optional accelerator codec -- never required
-    import msgpack as _msgpack  # type: ignore[import-not-found]
-except ImportError:  # pragma: no cover - exercised when msgpack is absent
-    _msgpack = None
-
 #: ``!I`` payload length + 1-byte codec tag.
 _PREFIX = struct.Struct("!IB")
 PREFIX_SIZE = _PREFIX.size
 
 CODEC_JSON = ord("J")
-CODEC_MSGPACK = ord("M")
 
 #: Refuse frames past this size instead of trusting a 4-GiB length word
 #: from a confused or hostile peer.
@@ -69,49 +57,15 @@ class ProtocolError(ValueError):
     """A frame or message violated the wire contract."""
 
 
-def codecs_available() -> Tuple[str, ...]:
-    """The codec names this process can encode/decode."""
-    return ("json", "msgpack") if _msgpack is not None else ("json",)
-
-
-def codec_tag(codec: str) -> int:
-    if codec == "json":
-        return CODEC_JSON
-    if codec == "msgpack":
-        if _msgpack is None:
-            raise ProtocolError(
-                "msgpack codec requested but the msgpack package is not "
-                "installed; use codec='json'"
-            )
-        return CODEC_MSGPACK
-    raise ProtocolError(f"unknown codec {codec!r}; choose json or msgpack")
-
-
-def encode_payload(message: Dict[str, Any], tag: int) -> bytes:
-    if tag == CODEC_JSON:
-        return json.dumps(message, separators=(",", ":")).encode("utf-8")
-    if tag == CODEC_MSGPACK:
-        if _msgpack is None:
-            raise ProtocolError("msgpack codec unavailable")
-        return _msgpack.packb(message, use_bin_type=True)
-    raise ProtocolError(f"unknown codec tag {tag!r}")
+def encode_payload(message: Dict[str, Any]) -> bytes:
+    return json.dumps(message, separators=(",", ":")).encode("utf-8")
 
 
 def decode_payload(payload: bytes, tag: int) -> Dict[str, Any]:
+    if tag != CODEC_JSON:
+        raise ProtocolError(f"unknown codec tag {tag!r}")
     try:
-        if tag == CODEC_JSON:
-            message = json.loads(payload.decode("utf-8"))
-        elif tag == CODEC_MSGPACK:
-            if _msgpack is None:
-                raise ProtocolError(
-                    "peer sent a msgpack frame but the msgpack package is "
-                    "not installed here"
-                )
-            message = _msgpack.unpackb(payload, raw=False)
-        else:
-            raise ProtocolError(f"unknown codec tag {tag!r}")
-    except ProtocolError:
-        raise
+        message = json.loads(payload.decode("utf-8"))
     except Exception as exc:
         raise ProtocolError(f"undecodable payload: {exc}") from exc
     if not isinstance(message, dict):
@@ -119,12 +73,11 @@ def decode_payload(payload: bytes, tag: int) -> Dict[str, Any]:
     return message
 
 
-def pack_frame(message: Dict[str, Any], codec: str = "json") -> bytes:
-    tag = codec_tag(codec)
-    payload = encode_payload(message, tag)
+def pack_frame(message: Dict[str, Any]) -> bytes:
+    payload = encode_payload(message)
     if len(payload) > MAX_FRAME:
         raise ProtocolError(f"frame of {len(payload)} bytes exceeds MAX_FRAME")
-    return _PREFIX.pack(len(payload), tag) + payload
+    return _PREFIX.pack(len(payload), CODEC_JSON) + payload
 
 
 def unpack_prefix(prefix: bytes) -> Tuple[int, int]:
@@ -138,10 +91,8 @@ def unpack_prefix(prefix: bytes) -> Tuple[int, int]:
 # -- asyncio side (daemon) ----------------------------------------------------
 
 
-async def read_frame(
-    reader: asyncio.StreamReader,
-) -> Optional[Tuple[Dict[str, Any], int]]:
-    """Read one frame -> (message, codec tag); ``None`` on clean EOF.
+async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
+    """Read one frame -> its message; ``None`` on clean EOF.
 
     EOF *inside* a frame (a client that died mid-send) raises
     :class:`ProtocolError` so the handler can count it as a broken
@@ -158,14 +109,14 @@ async def read_frame(
         payload = await reader.readexactly(length)
     except asyncio.IncompleteReadError:
         raise ProtocolError("connection closed mid-frame") from None
-    return decode_payload(payload, tag), tag
+    return decode_payload(payload, tag)
 
 
 async def write_message(
-    writer: asyncio.StreamWriter, message: Dict[str, Any], tag: int
+    writer: asyncio.StreamWriter, message: Dict[str, Any]
 ) -> None:
-    payload = encode_payload(message, tag)
-    writer.write(_PREFIX.pack(len(payload), tag) + payload)
+    payload = encode_payload(message)
+    writer.write(_PREFIX.pack(len(payload), CODEC_JSON) + payload)
     await writer.drain()
 
 
@@ -224,11 +175,8 @@ class ServeClient:
         host: str,
         port: int,
         *,
-        codec: str = "json",
         timeout: float = 30.0,
     ) -> None:
-        self.codec = codec
-        codec_tag(codec)  # fail fast on an unavailable codec
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._next_id = 0
@@ -263,7 +211,7 @@ class ServeClient:
         rid = self._next_id
         message = {"op": op, "id": rid, **fields}
         try:
-            self._sock.sendall(pack_frame(message, self.codec))
+            self._sock.sendall(pack_frame(message))
             prefix = _recv_exactly(self._sock, PREFIX_SIZE)
             length, tag = unpack_prefix(prefix)
             response = decode_payload(_recv_exactly(self._sock, length), tag)

@@ -344,15 +344,14 @@ class ServeServer:
         try:
             while True:
                 try:
-                    frame = await read_frame(reader)
+                    message = await read_frame(reader)
                 except ProtocolError:
                     # A partial frame (client died mid-send) or garbage:
                     # nothing was acked for it, drop the connection only.
                     self._count("serve.conn.broken")
                     return
-                if frame is None:
+                if message is None:
                     return  # clean disconnect
-                message, tag = frame
                 op = message.get("op")
                 rid = message.get("id")
                 t0 = perf_counter()
@@ -371,7 +370,7 @@ class ServeServer:
                     f"serve.op.{op_name}.latency_s", perf_counter() - t0
                 )
                 try:
-                    await write_message(writer, self._with_id(response, rid), tag)
+                    await write_message(writer, self._with_id(response, rid))
                 except (ConnectionError, OSError):
                     self._count("serve.conn.broken")
                     return

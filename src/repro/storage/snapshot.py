@@ -243,7 +243,7 @@ def _decode_rtree(data: Dict, pager: Pager) -> RTree:
     return tree
 
 
-# -- public API: plain RTree (and the alpha variant's inner tree) -------------
+# -- plain RTree (and the alpha variant's inner tree) --------------------------
 
 
 def _rtree_document(tree: RTree) -> Dict:
@@ -263,16 +263,7 @@ def _load_rtree_document(document: Dict) -> RTree:
     return tree
 
 
-def save_rtree(tree: RTree, path: Union[str, Path]) -> Path:
-    """Snapshot a traditional R-tree (no secondary hash index)."""
-    return _write_document(_rtree_document(tree), path)
-
-
-def load_rtree(path: Union[str, Path]) -> RTree:
-    return _load_rtree_document(_read_document(path, expected="rtree"))
-
-
-# -- public API: LazyRTree ----------------------------------------------------
+# -- LazyRTree -----------------------------------------------------------------
 
 
 def _lazy_document(tree: LazyRTree) -> Dict:
@@ -305,16 +296,7 @@ def _load_lazy_document(document: Dict) -> LazyRTree:
     return tree
 
 
-def save_lazy_rtree(tree: LazyRTree, path: Union[str, Path]) -> Path:
-    """Snapshot a lazy-R-tree (or alpha-tree) with its hash index."""
-    return _write_document(_lazy_document(tree), path)
-
-
-def load_lazy_rtree(path: Union[str, Path]) -> LazyRTree:
-    return _load_lazy_document(_read_document(path, expected="lazy_rtree"))
-
-
-# -- public API: CTRTree -------------------------------------------------------
+# -- CTRTree -------------------------------------------------------------------
 
 
 def _ctrtree_document(tree: CTRTree) -> Dict:
@@ -351,11 +333,6 @@ def _ctrtree_document(tree: CTRTree) -> Dict:
             },
         },
     }
-
-
-def save_ctrtree(tree: CTRTree, path: Union[str, Path]) -> Path:
-    """Snapshot a CT-R-tree: structural pages, chains, buffers, hash index."""
-    return _write_document(_ctrtree_document(tree), path)
 
 
 def _load_ctrtree_document(document: Dict) -> CTRTree:
@@ -397,11 +374,7 @@ def _load_ctrtree_document(document: Dict) -> CTRTree:
     return tree
 
 
-def load_ctrtree(path: Union[str, Path]) -> CTRTree:
-    return _load_ctrtree_document(_read_document(path, expected="ctrtree"))
-
-
-# -- public API: LSM-R-tree ----------------------------------------------------
+# -- LSM-R-tree ----------------------------------------------------------------
 
 
 def _lsm_document(index: LSMRTree) -> Dict:
@@ -506,16 +479,7 @@ def _load_lsm_document(document: Dict) -> LSMRTree:
     return index
 
 
-def save_lsm(index: LSMRTree, path: Union[str, Path]) -> Path:
-    """Snapshot an LSM-R-tree: runs, side tables, memtable, tombstones."""
-    return _write_document(_lsm_document(index), path)
-
-
-def load_lsm(path: Union[str, Path]) -> LSMRTree:
-    return _load_lsm_document(_read_document(path, expected="lsm"))
-
-
-# -- public API: the sharded engine -------------------------------------------
+# -- the sharded engine --------------------------------------------------------
 
 
 def _sharded_document(index) -> Dict:
@@ -658,15 +622,6 @@ def _load_sharded_document(document: Dict):
     return index
 
 
-def save_sharded(index, path: Union[str, Path]) -> Path:
-    """Snapshot a sharded engine as one versioned document."""
-    return _write_document(_sharded_document(index), path)
-
-
-def load_sharded(path: Union[str, Path]):
-    return _load_sharded_document(_read_document(path, expected="sharded"))
-
-
 # -- generic dispatch ----------------------------------------------------------
 
 _DOCUMENT_BUILDERS: Dict[str, Callable] = {
@@ -761,7 +716,7 @@ def load_index(path: Union[str, Path]):
     Documents written before the kind tag existed are dispatched by their
     ``structure`` string, so old snapshots keep loading.
     """
-    return load_document(_read_any_document(path))
+    return load_document(_read_document(path))
 
 
 # -- document I/O --------------------------------------------------------------
@@ -785,7 +740,7 @@ def _write_document(document: Dict, path: Union[str, Path]) -> Path:
     return path
 
 
-def _read_any_document(path: Union[str, Path]) -> Dict:
+def _read_document(path: Union[str, Path]) -> Dict:
     try:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -798,13 +753,4 @@ def _read_any_document(path: Union[str, Path]) -> Dict:
         )
     if document.get("version") != FORMAT_VERSION:
         raise SnapshotError(f"unsupported snapshot version {document.get('version')!r}")
-    return document
-
-
-def _read_document(path: Union[str, Path], expected: str) -> Dict:
-    document = _read_any_document(path)
-    if document.get("structure") != expected:
-        raise SnapshotError(
-            f"snapshot holds a {document.get('structure')!r}, expected {expected!r}"
-        )
     return document

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.btree import BPlusTree, LazyBPlusTree
+from repro.btree.bptree import HIGH_SENTINEL, LOW_SENTINEL, BNode
 from repro.storage.pager import Pager
 
 
@@ -31,6 +32,27 @@ class TestConstruction:
     def test_rejects_small_fanout(self, pager):
         with pytest.raises(ValueError):
             BPlusTree(pager, max_entries=3)
+
+
+class TestBTreeExtras:
+    def test_bptree_repr_and_node_count(self, rng):
+        tree = BPlusTree(Pager(), max_entries=6)
+        for oid in range(60):
+            tree.insert(oid, rng.uniform(0, 100))
+        assert "size=60" in repr(tree)
+        assert tree.node_count() > 1
+
+    def test_bnode_covers_sentinels(self):
+        node = BNode(leaf=True)
+        assert node.low == LOW_SENTINEL
+        assert node.high == HIGH_SENTINEL
+        assert node.covers((1e308, 0))
+        assert node.covers((-1e308, 5))
+
+    def test_lazy_bptree_repr(self, pager):
+        tree = LazyBPlusTree(pager)
+        tree.insert(1, 5.0)
+        assert "size=1" in repr(tree)
 
 
 class TestInsertSearch:

@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.core.ctrtree import CTRTree
+from repro.core.geometry import Rect
+from repro.rtree import LazyRTree
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.page import RawPage
 from repro.storage.pager import Pager
+from tests.conftest import brute_force_range, random_points, random_query
 
 
 @pytest.fixture
@@ -189,3 +193,52 @@ class TestPagerParity:
         pool.allocate(RawPage())
         assert pool.page_size == 4096
         assert pool.page_count == 1
+
+
+class TestIndexesOverBufferPool:
+    """The pool is a drop-in pager; indexes must behave identically on it."""
+
+    def test_lazy_rtree_on_pool_matches_brute_force(self, rng):
+        pool = BufferPool(Pager(), capacity=64)
+        tree = LazyRTree(pool, max_entries=6)  # type: ignore[arg-type]
+        points = random_points(rng, 150)
+        for oid, point in points.items():
+            tree.insert(oid, point)
+        for _ in range(400):
+            oid = rng.randrange(150)
+            new = (rng.uniform(0, 100), rng.uniform(0, 100))
+            tree.update(oid, points[oid], new)
+            points[oid] = new
+        assert tree.validate() == []
+        for _ in range(20):
+            query = random_query(rng)
+            got = sorted(oid for oid, _ in tree.range_search(query))
+            assert got == brute_force_range(points, query)
+        assert pool.hit_rate > 0.3  # the cache is actually being exercised
+
+    def test_ct_tree_on_pool(self, rng):
+        pool = BufferPool(Pager(), capacity=64)
+        domain = Rect((0, 0), (1000, 1000))
+        tree = CTRTree(
+            pool, domain, [Rect((100, 100), (400, 400))], max_entries=6  # type: ignore[arg-type]
+        )
+        points = {}
+        for oid in range(80):
+            point = (rng.uniform(0, 1000), rng.uniform(0, 1000))
+            tree.insert(oid, point)
+            points[oid] = point
+        assert tree.validate() == []
+        got = sorted(oid for oid, _ in tree.range_search(domain))
+        assert got == sorted(points)
+
+    def test_pool_charges_less_than_raw(self, rng):
+        points = random_points(rng, 100)
+        raw_pager = Pager()
+        raw = LazyRTree(raw_pager, max_entries=6)
+        pool_backing = Pager()
+        pool = BufferPool(pool_backing, capacity=256)
+        cached = LazyRTree(pool, max_entries=6)  # type: ignore[arg-type]
+        for oid, point in points.items():
+            raw.insert(oid, point)
+            cached.insert(oid, point)
+        assert pool_backing.stats.total() < raw_pager.stats.total()

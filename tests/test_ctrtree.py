@@ -61,6 +61,11 @@ class TestConstruction:
         inf = infinite_rect(2)
         assert inf.contains_point((1e300, -1e300))
 
+    def test_ct_tree_repr(self):
+        tree = CTRTree(Pager(), DOMAIN, [Rect((0, 0), (10, 10))])
+        text = repr(tree)
+        assert "regions=1" in text and "size=0" in text
+
 
 class TestInsert:
     def test_insert_into_containing_region(self, tree, pager):

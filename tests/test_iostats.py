@@ -138,3 +138,9 @@ class TestIOStats:
         stats = IOStats()
         stats.record_read()
         assert "1r" in repr(stats)
+
+    def test_iostats_bulk_counts(self):
+        stats = IOStats()
+        stats.record_read(5)
+        stats.record_write(3)
+        assert stats.total() == 8

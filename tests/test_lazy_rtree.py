@@ -10,7 +10,7 @@ from repro.hashindex import HashIndex
 from repro.health import verify_index
 from repro.rtree import AlphaTree, LazyRTree
 from repro.storage.pager import Pager
-from repro.storage.snapshot import load_lazy_rtree, save_lazy_rtree
+from repro.storage.snapshot import load_index, save_index
 from tests.conftest import brute_force_range, random_points, random_query
 
 
@@ -334,8 +334,8 @@ class TestApplyBatch:
 
     def test_tree_loaded_from_a_snapshot_takes_batches(self, rng, tmp_path):
         original, points = _build(LazyRTree, rng, 150)
-        save_lazy_rtree(original, tmp_path / "lazy.json")
-        tree = load_lazy_rtree(tmp_path / "lazy.json")
+        save_index(original, tmp_path / "lazy.json")
+        tree = load_index(tmp_path / "lazy.json")
         batch = _random_batch(rng, points, 120, t0=0.0)
         tree.apply_batch(batch)
         points.update((update.oid, update.point) for update in batch)

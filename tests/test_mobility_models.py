@@ -114,7 +114,7 @@ class TestGaussianMarkovModel:
 
     def test_mines_fewer_regions_than_city_model(self, city):
         """The adversarial model must starve Phase 1 relative to the default."""
-        from repro.analysis import trail_stats
+        from tests.citysim_shape import trail_stats
 
         counts = {}
         for name in ("city", "gauss_markov"):

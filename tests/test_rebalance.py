@@ -32,7 +32,7 @@ from repro.engine.rebalance import object_speeds
 from repro.health import verify_index
 from repro.parallel import ParallelShardedIndex, WorkerFailure
 from repro.storage.iostats import IOCategory
-from repro.storage.snapshot import build_document, load_sharded, save_sharded
+from repro.storage.snapshot import build_document, load_index, save_index
 
 DOMAIN = Rect((0.0, 0.0), (100.0, 100.0))
 
@@ -597,8 +597,8 @@ class TestSnapshotRoundTrip:
     def test_density_partition_survives_save_load(self, tmp_path):
         partition = BoundaryPartition(DOMAIN, [15.0, 40.0, 70.0], axis=0)
         index, positions = self._built(partition)
-        path = save_sharded(index, tmp_path / "snap.json")
-        again = load_sharded(path)
+        path = save_index(index, tmp_path / "snap.json")
+        again = load_index(path)
         assert isinstance(again.partition, BoundaryPartition)
         assert again.partition.to_dict() == partition.to_dict()
         assert len(again) == len(index)
@@ -610,8 +610,8 @@ class TestSnapshotRoundTrip:
         inner = BoundaryPartition(DOMAIN, [35.0, 65.0], axis=0)
         partition = SpeedPartition(DOMAIN, inner, [2, 8])
         index, positions = self._built(partition)
-        path = save_sharded(index, tmp_path / "snap.json")
-        again = load_sharded(path)
+        path = save_index(index, tmp_path / "snap.json")
+        again = load_index(path)
         assert isinstance(again.partition, SpeedPartition)
         assert again.partition.fast_ids == frozenset({2, 8})
         assert again.owner_of(2) == again.partition.churn_sid
@@ -621,7 +621,7 @@ class TestSnapshotRoundTrip:
 
     def test_rebalance_count_survives_save_load(self, tmp_path):
         index, _ = self._built(rebalance=True)
-        again = load_sharded(save_sharded(index, tmp_path / "snap.json"))
+        again = load_index(save_index(index, tmp_path / "snap.json"))
         assert again.rebalances == 1
 
     def test_cutover_then_snapshot_is_byte_identical(self, tmp_path):
@@ -629,7 +629,7 @@ class TestSnapshotRoundTrip:
         on the same bytes: positions (with timestamps) round-trip, replay
         order is canonical, and partition documents are exact."""
         index, positions = self._built()
-        clone = load_sharded(save_sharded(index, tmp_path / "pre.json"))
+        clone = load_index(save_index(index, tmp_path / "pre.json"))
         plan = BoundaryPartition.from_points(DOMAIN, 4, positions.values())
         index.apply_partition(plan)
         clone.apply_partition(partition_from_dict(plan.to_dict()))

@@ -52,13 +52,13 @@ class TestReportCLI:
 
     def test_cli_build_save_snapshot(self, tmp_path):
         from repro.cli import main
-        from repro.storage.snapshot import load_ctrtree
+        from repro.storage.snapshot import load_index
 
         trace = tmp_path / "t.csv"
         main(["simulate", str(trace), "--objects", "40", "--history", "20",
               "--updates", "2", "--buildings", "8", "--seed", "1"])
         snap = tmp_path / "index.json"
         assert main(["build", str(trace), "--history", "20", "--save", str(snap)]) == 0
-        tree = load_ctrtree(snap)
+        tree = load_index(snap)
         assert len(tree) == 40
         assert tree.validate() == []

@@ -12,10 +12,7 @@ from repro.serve.protocol import (
     MAX_FRAME,
     PREFIX_SIZE,
     ProtocolError,
-    codec_tag,
-    codecs_available,
     decode_payload,
-    encode_payload,
     pack_frame,
     unpack_prefix,
 )
@@ -25,31 +22,19 @@ from repro.serve.protocol import (
 
 def test_json_frame_round_trips():
     message = {"op": "update", "oid": 7, "point": [1.5, 2.5], "t": 0.25}
-    frame = pack_frame(message, "json")
+    frame = pack_frame(message)
     length, tag = unpack_prefix(frame[:PREFIX_SIZE])
     assert tag == CODEC_JSON
     assert length == len(frame) - PREFIX_SIZE
     assert decode_payload(frame[PREFIX_SIZE:], tag) == message
 
 
-def test_msgpack_gated_on_availability():
-    if "msgpack" in codecs_available():
-        message = {"op": "stats"}
-        frame = pack_frame(message, "msgpack")
-        length, tag = unpack_prefix(frame[:PREFIX_SIZE])
-        assert decode_payload(frame[PREFIX_SIZE:], tag) == message
-    else:
-        with pytest.raises(ProtocolError):
-            codec_tag("msgpack")
-
-
 def test_unknown_codec_rejected():
-    with pytest.raises(ProtocolError):
-        codec_tag("bson")
-    with pytest.raises(ProtocolError):
-        encode_payload({}, 0x7F)
-    with pytest.raises(ProtocolError):
-        decode_payload(b"{}", 0x7F)
+    # JSON is the one codec: a well-formed payload under any other tag is
+    # a protocol error.
+    for tag in (ord("M"), 0x7F):
+        with pytest.raises(ProtocolError):
+            decode_payload(b"{}", tag)
 
 
 def test_oversize_prefix_rejected():

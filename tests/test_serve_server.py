@@ -129,6 +129,24 @@ def test_client_disconnect_mid_batch_leaves_daemon_serving():
         daemon.shutdown()
 
 
+def test_frame_with_a_non_json_tag_drops_only_that_connection():
+    service = _service()
+    daemon, host, port = _boot(service)
+    try:
+        payload = b'{"op":"update","oid":1,"point":[9.0,9.0],"t":0.5}'
+        with ServeClient(host, port) as victim:
+            victim.send_raw(struct.pack("!IB", len(payload), ord("M")) + payload)
+            with pytest.raises(ConnectionError):
+                victim.request("stats")
+        with ServeClient(host, port) as client:
+            stats = client.stats()
+            assert stats["metrics"]["counters"]["serve.conn.broken"] >= 1
+            assert stats["service"]["acked"] == 0
+        assert daemon.error is None
+    finally:
+        daemon.shutdown()
+
+
 # -- slow-consumer backpressure ----------------------------------------------
 
 

@@ -4,6 +4,8 @@ import pytest
 
 from repro.citysim import City, CitySimulator
 from repro.core.params import SimulationParams
+from tests.citysim_shape import trail_stats
+from tests.conftest import dwell_trail
 
 
 @pytest.fixture(scope="module")
@@ -144,3 +146,43 @@ class TestChangedPlans:
         for obj in sim.objects:
             if obj.building is not None:
                 assert obj.building.rect not in demolished
+
+
+class TestTrailStats:
+    def test_dwell_heavy_workload_detected(self, rng):
+        histories = {
+            oid: dwell_trail(rng, [(200, 200), (700, 700)], dwell_reports=40)
+            for oid in range(10)
+        }
+        stats = trail_stats(histories)
+        assert stats.object_count == 10
+        assert stats.median_step < 10.0
+        assert stats.dwell_step_fraction > 0.8
+        assert stats.dwell_time_fraction > 0.6
+        assert stats.regions_per_object == pytest.approx(2.0)
+        assert stats.is_change_tolerant_friendly
+
+    def test_pure_travel_workload_detected(self):
+        histories = {
+            oid: [((k * 300.0, 0.0), k * 20.0) for k in range(40)] for oid in range(5)
+        }
+        stats = trail_stats(histories)
+        assert stats.dwell_step_fraction == 0.0
+        assert stats.regions_per_object == 0.0
+        assert not stats.is_change_tolerant_friendly
+
+    def test_empty_histories(self):
+        stats = trail_stats({})
+        assert stats.object_count == 0
+        assert stats.median_step == 0.0
+
+    def test_city_simulator_output_is_friendly(self):
+        """The substitute simulator must produce the movement shape the paper
+        describes -- this is the validation the substitution rests on."""
+        city = City.generate(seed=2, n_buildings=25)
+        params = SimulationParams(
+            n_objects=80, update_rate=4.0, n_history=110, n_updates=5, n_warmup_max=20
+        )
+        trace = CitySimulator(city, params, seed=3).run()
+        stats = trail_stats(trace.histories(110))
+        assert stats.is_change_tolerant_friendly

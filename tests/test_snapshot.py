@@ -9,13 +9,7 @@ from repro.core.geometry import Rect
 from repro.core.params import CTParams
 from repro.rtree import AlphaTree, LazyRTree
 from repro.storage.pager import Pager
-from repro.storage.snapshot import (
-    SnapshotError,
-    load_ctrtree,
-    load_lazy_rtree,
-    save_ctrtree,
-    save_lazy_rtree,
-)
+from repro.storage.snapshot import SnapshotError, load_index, save_index
 from tests.conftest import brute_force_range, random_points, random_query
 
 DOMAIN = Rect((0, 0), (1000, 1000))
@@ -35,8 +29,8 @@ class TestLazyRTreeSnapshot:
 
     def test_roundtrip_preserves_contents(self, rng, tmp_path):
         tree, points = self.build(rng)
-        path = save_lazy_rtree(tree, tmp_path / "lazy.json")
-        loaded = load_lazy_rtree(path)
+        path = save_index(tree, tmp_path / "lazy.json")
+        loaded = load_index(path)
         assert len(loaded) == len(points)
         assert loaded.validate() == []
         for _ in range(15):
@@ -46,7 +40,7 @@ class TestLazyRTreeSnapshot:
 
     def test_loaded_tree_is_fully_operational(self, rng, tmp_path):
         tree, points = self.build(rng)
-        loaded = load_lazy_rtree(save_lazy_rtree(tree, tmp_path / "lazy.json"))
+        loaded = load_index(save_index(tree, tmp_path / "lazy.json"))
         loaded.insert(999, (50.0, 50.0))
         assert loaded.search_point((50.0, 50.0)) == [999]
         oid = next(iter(points))
@@ -58,13 +52,13 @@ class TestLazyRTreeSnapshot:
         tree = AlphaTree(Pager(), max_entries=8, alpha=0.25)
         for oid, point in random_points(rng, 30).items():
             tree.insert(oid, point)
-        loaded = load_lazy_rtree(save_lazy_rtree(tree, tmp_path / "a.json"))
+        loaded = load_index(save_index(tree, tmp_path / "a.json"))
         assert loaded.tree.alpha == 0.25
         assert loaded.tree.max_entries == 8
 
     def test_load_charges_nothing(self, rng, tmp_path):
         tree, _ = self.build(rng)
-        loaded = load_lazy_rtree(save_lazy_rtree(tree, tmp_path / "lazy.json"))
+        loaded = load_index(save_index(tree, tmp_path / "lazy.json"))
         assert loaded.pager.stats.total() == 0
 
 
@@ -85,8 +79,8 @@ class TestCTRTreeSnapshot:
     def test_roundtrip_preserves_everything(self, rng, tmp_path):
         tree, points = self.build(rng)
         assert tree.buffered_object_count() > 0  # exercise buffers too
-        path = save_ctrtree(tree, tmp_path / "ct.json")
-        loaded = load_ctrtree(path)
+        path = save_index(tree, tmp_path / "ct.json")
+        loaded = load_index(path)
         assert len(loaded) == len(points)
         assert loaded.region_count == tree.region_count
         assert loaded.validate() == []
@@ -99,14 +93,14 @@ class TestCTRTreeSnapshot:
         tree, _ = self.build(rng)
         if not tree._buffer_trees:
             pytest.skip("no buffer converted in this build")
-        loaded = load_ctrtree(save_ctrtree(tree, tmp_path / "ct.json"))
+        loaded = load_index(save_index(tree, tmp_path / "ct.json"))
         assert set(loaded._buffer_trees) == set(tree._buffer_trees)
         for pid, btree in loaded._buffer_trees.items():
             assert len(btree) == len(tree._buffer_trees[pid])
 
     def test_loaded_tree_keeps_working(self, rng, tmp_path):
         tree, points = self.build(rng)
-        loaded = load_ctrtree(save_ctrtree(tree, tmp_path / "ct.json"))
+        loaded = load_index(save_index(tree, tmp_path / "ct.json"))
         oid = next(iter(points))
         loaded.update(oid, points[oid], (150.0, 140.0), now=1000.0)
         assert loaded.search_point((150.0, 140.0)) == [oid]
@@ -116,7 +110,7 @@ class TestCTRTreeSnapshot:
 
     def test_params_and_counters_preserved(self, rng, tmp_path):
         tree, _ = self.build(rng)
-        loaded = load_ctrtree(save_ctrtree(tree, tmp_path / "ct.json"))
+        loaded = load_index(save_index(tree, tmp_path / "ct.json"))
         assert loaded.params.t_list == 1
         assert loaded.params.t_buf_num == 3
         assert loaded._next_region_id == tree._next_region_id
@@ -125,7 +119,7 @@ class TestCTRTreeSnapshot:
 
     def test_adaptation_works_after_reload(self, rng, tmp_path):
         tree, _ = self.build(rng)
-        loaded = load_ctrtree(save_ctrtree(tree, tmp_path / "ct.json"))
+        loaded = load_index(save_index(tree, tmp_path / "ct.json"))
         # Stream a tight new cluster (the test_adaptive fill pattern):
         # promotion must still fire post-reload.
         t = loaded._clock
@@ -142,29 +136,22 @@ class TestFormatValidation:
         path = tmp_path / "bad.json"
         path.write_text("not json at all")
         with pytest.raises(SnapshotError):
-            load_ctrtree(path)
-
-    def test_rejects_wrong_structure(self, rng, tmp_path):
-        tree = LazyRTree(Pager())
-        tree.insert(1, (1.0, 1.0))
-        path = save_lazy_rtree(tree, tmp_path / "lazy.json")
-        with pytest.raises(SnapshotError):
-            load_ctrtree(path)
+            load_index(path)
 
     def test_rejects_wrong_version(self, rng, tmp_path):
         tree = LazyRTree(Pager())
         tree.insert(1, (1.0, 1.0))
-        path = save_lazy_rtree(tree, tmp_path / "lazy.json")
+        path = save_index(tree, tmp_path / "lazy.json")
         document = json.loads(path.read_text())
         document["version"] = 99
         path.write_text(json.dumps(document))
         with pytest.raises(SnapshotError):
-            load_lazy_rtree(path)
+            load_index(path)
 
     def test_snapshot_is_pure_data(self, rng, tmp_path):
         tree = LazyRTree(Pager())
         tree.insert(1, (1.0, 1.0))
-        path = save_lazy_rtree(tree, tmp_path / "lazy.json")
+        path = save_index(tree, tmp_path / "lazy.json")
         text = path.read_text()
         json.loads(text)  # valid JSON
         assert "__" not in text  # no dunder / code smuggling

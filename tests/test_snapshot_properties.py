@@ -8,12 +8,7 @@ from repro.core.geometry import Rect
 from repro.core.params import CTParams
 from repro.rtree import LazyRTree
 from repro.storage.pager import Pager
-from repro.storage.snapshot import (
-    load_ctrtree,
-    load_lazy_rtree,
-    save_ctrtree,
-    save_lazy_rtree,
-)
+from repro.storage.snapshot import load_index, save_index
 
 DOMAIN = Rect((0, 0), (1000, 1000))
 
@@ -56,8 +51,8 @@ def test_lazy_rtree_roundtrip_preserves_answers(tmp_path_factory, steps):
     tree = LazyRTree(Pager(), max_entries=5)
     drive(tree, steps, needs_old=False)
     path = tmp_path_factory.mktemp("snap") / "lazy.json"
-    save_lazy_rtree(tree, path)
-    loaded = load_lazy_rtree(path)
+    save_index(tree, path)
+    loaded = load_index(path)
     assert answers(loaded) == answers(tree)
     assert loaded.validate() == []
     assert len(loaded) == len(tree)
@@ -72,8 +67,8 @@ def test_ctrtree_roundtrip_preserves_answers(tmp_path_factory, steps):
     )
     drive(tree, steps, needs_old=False)
     path = tmp_path_factory.mktemp("snap") / "ct.json"
-    save_ctrtree(tree, path)
-    loaded = load_ctrtree(path)
+    save_index(tree, path)
+    loaded = load_index(path)
     assert answers(loaded) == answers(tree)
     assert loaded.validate() == []
     assert loaded.region_count == tree.region_count
@@ -97,8 +92,8 @@ def test_ctrtree_post_reload_workload_equivalence(tmp_path_factory, before, afte
     snapshotted = fresh()
     drive(snapshotted, before, needs_old=False)
     path = tmp_path_factory.mktemp("snap") / "ct.json"
-    save_ctrtree(snapshotted, path)
-    resumed = load_ctrtree(path)
+    save_index(snapshotted, path)
+    resumed = load_index(path)
 
     # Make `after` applicable to both: seed oracle with the surviving state.
     oracle_a = dict(replay)

@@ -70,6 +70,15 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             UpdateGraph().scale_edges(-1.0)
 
+    def test_update_graph_neighbors(self):
+        graph = UpdateGraph()
+        a = graph.add_region(region(0, 0, 1, 1, 1))
+        b = graph.add_region(region(2, 2, 3, 3, 1))
+        graph.add_edge(a, b, 4.0)
+        assert graph.neighbors(a) == {b: 4.0}
+        assert len(graph.regions()) == 2
+        assert "regions=2" in repr(graph)
+
 
 class TestMergeSemantics:
     def test_merge_unions_rect_and_sums_dwell(self):
