@@ -31,6 +31,7 @@ the incoming timestamp).  Either alone or both together.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.core.geometry import Point
@@ -203,10 +204,12 @@ class UpdateBuffer:
     def iter_pending(self) -> List[PendingUpdate]:
         """The pending updates in arrival (seq) order; read-only callers.
 
-        The LSM memtable serves queries straight from here (main memory,
+        ``_pending`` is kept in seq order (a coalescing :meth:`put` moves
+        its entry to the end), so this is a copy, not a sort.  The LSM
+        memtable serves queries straight from here (main memory,
         uncharged) and snapshots serialize it in this canonical order.
         """
-        return sorted(self._pending.values(), key=lambda u: u.seq)
+        return list(self._pending.values())
 
     def drop(self, oid: int) -> Optional[PendingUpdate]:
         """Discard the pending update for ``oid`` (a delete superseded it).
@@ -241,18 +244,21 @@ class UpdateBuffer:
                 self.wal.log_update(oid, old_point, point, t)
         self.stats.buffered += 1
         self._seq += 1
-        existing = self._pending.get(oid)
+        position = position_of(point)
+        existing = self._pending.pop(oid, None)
         if existing is not None:
-            existing.point = position_of(point)
+            existing.point = position
             existing.t = t
             existing.seq = self._seq
             existing.absorbed += 1
             self.stats.coalesced += 1
+            # Re-inserted at the end: the dict stays in seq order.
+            self._pending[oid] = existing
             return
         self._pending[oid] = PendingUpdate(
             oid=oid,
             old_point=None if old_point is None else position_of(old_point),
-            point=position_of(point),
+            point=position,
             t=t,
             seq=self._seq,
         )
@@ -305,8 +311,10 @@ class UpdateBuffer:
         """
         if not self._pending:
             return 0
+        # ``_pending`` is in seq order and sorted() is stable, so sorting
+        # by ``t`` alone yields the ``(t, seq)`` order.
         batch: List[PendingUpdate] = sorted(
-            self._pending.values(), key=lambda u: (u.t, u.seq)
+            self._pending.values(), key=attrgetter("t")
         )
         applied = 0
         apply_batch = getattr(index, "apply_batch", None)

@@ -418,10 +418,11 @@ def _verify_lsm(lsm: LSMRTree, report: VerifyReport, prefix: str = "") -> None:
     * no oid is both live and tombstoned within one run;
     * tombstone accounting: every tombstone still suppresses some older
       version (compaction must have dropped the garbage ones);
-    * the live counter equals the resolved newest-version-only object
-      count across memtable + runs (each object resolves exactly once).
+    * the live-oid set ``len(index)`` counts equals the set of oids that
+      resolve live, newest version only, across memtable + runs -- in
+      both directions.
     """
-    resolved = 0
+    resolved: set = set()
     suppressed: set = set(lsm._mem_dead)
     for pending in lsm.memtable.iter_pending():
         if pending.oid in lsm._mem_dead:
@@ -430,9 +431,9 @@ def _verify_lsm(lsm: LSMRTree, report: VerifyReport, prefix: str = "") -> None:
                 f"{prefix}memtable",
                 f"oid {pending.oid} is both pending and tombstoned",
             )
-        resolved += 1
+        resolved.add(pending.oid)
         suppressed.add(pending.oid)
-    report.checked_objects += resolved
+    report.checked_objects += len(resolved)
     runs = lsm.runs
     for i in range(len(runs) - 1, -1, -1):
         run = runs[i]
@@ -456,7 +457,7 @@ def _verify_lsm(lsm: LSMRTree, report: VerifyReport, prefix: str = "") -> None:
             )
         for oid in run.oids:
             if oid not in suppressed:
-                resolved += 1
+                resolved.add(oid)
         for oid in run.tombstones:
             if oid not in suppressed and not any(
                 runs[j].mentions(oid) for j in range(i)
@@ -468,11 +469,20 @@ def _verify_lsm(lsm: LSMRTree, report: VerifyReport, prefix: str = "") -> None:
                 )
         suppressed.update(run.oids)
         suppressed.update(run.tombstones)
-    if resolved != len(lsm):
+    phantom = sorted(lsm._live - resolved)
+    if phantom:
         report.add(
-            "size-counter",
+            "lsm-live-set",
             f"{prefix}lsm",
-            f"live counter {len(lsm)} != resolved objects {resolved}",
+            f"{len(phantom)} oids in the live set resolve dead: {phantom[:5]}",
+        )
+    missing = sorted(resolved - lsm._live)
+    if missing:
+        report.add(
+            "lsm-live-set",
+            f"{prefix}lsm",
+            f"{len(missing)} oids resolve live but are not in the live set: "
+            f"{missing[:5]}",
         )
 
 

@@ -80,12 +80,6 @@ class Run:
         """
         return _in_sorted(self.oids, oid) or _in_sorted(self.tombstones, oid)
 
-    def contains_live(self, oid: int) -> bool:
-        return _in_sorted(self.oids, oid)
-
-    def is_tombstoned(self, oid: int) -> bool:
-        return _in_sorted(self.tombstones, oid)
-
     def read_columns(self) -> Tuple[np.ndarray, np.ndarray]:
         """Every object in the run via a *charged* page walk, as columns:
         ``int64 (n,)`` oids and ``float64 (n, dim)`` coordinates in leaf

@@ -2,11 +2,14 @@
 
 Write path: every insert/update lands in the coalescing
 :class:`~repro.engine.buffer.UpdateBuffer` memtable (uncharged main memory,
-optionally WAL-backed); when the memtable reaches ``memtable_size`` distinct
-objects it drains, as one oid column and one coordinate column, into a fresh
-STR-packed immutable run.  Per-update cost is
-therefore O(memtable) amortized -- independent of how many objects the index
-holds -- which is the whole point under update-dominant traffic.
+optionally WAL-backed, kept in arrival order) and in the set of live
+oids, so a put is a slot write plus a set insert and a liveness test is a
+set lookup, not a walk over the runs.  When the memtable reaches
+``memtable_size`` distinct objects (tested inline: the policy has no
+horizon) it drains, as one oid column and one coordinate column, into a
+fresh STR-packed immutable run.  Per-update cost is therefore O(memtable)
+amortized -- independent of how many objects the index holds or how many
+runs it has -- which is the whole point under update-dominant traffic.
 
 Read path: queries fan out newest-component-first (memtable, then runs
 newest to oldest).  A version found in run *i* counts only if **no newer
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -163,7 +166,9 @@ class LSMRTree:
         self._mem_dead: set = set()
         #: Immutable runs, oldest first; queries walk it in reverse.
         self._runs: List[Run] = []
-        self._live = 0
+        #: Every live oid: uncharged main-memory bookkeeping, like the
+        #: runs' side tables.  An upsert adds, a delete discards.
+        self._live: Set[int] = set()
         self._next_seq = 0
         self.compaction = CompactionStats()
         self.flushes = 0
@@ -177,7 +182,7 @@ class LSMRTree:
         return self._pager
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._live)
 
     @property
     def height(self) -> int:
@@ -215,12 +220,13 @@ class LSMRTree:
         now: Optional[float],
     ) -> PageId:
         point = position_of(position)
-        if not self._is_live(obj_id):
-            self._live += 1
-        self._mem_dead.discard(obj_id)
         t = 0.0 if now is None else float(now)
         self.memtable.put(obj_id, old_position, point, t)
-        if self.memtable.should_flush(t):
+        self._live.add(obj_id)
+        self._mem_dead.discard(obj_id)
+        # The memtable's policy is size-only (no horizon), so this is the
+        # whole flush test.
+        if len(self.memtable) >= self.config.memtable_size:
             self.flush(reason="size")
         return NO_PAGE
 
@@ -232,16 +238,14 @@ class LSMRTree:
     ) -> bool:
         """Out-of-place delete: drop any pending version, mark a tombstone."""
         del old_position, now
-        if not self._is_live(obj_id):
+        if obj_id not in self._live:
             return False
+        self._live.remove(obj_id)
         self.memtable.drop(obj_id)
         # A tombstone is only worth flushing if some run still mentions the
         # oid; a purely-pending object dies entirely in memory.
         if any(run.mentions(obj_id) for run in self._runs):
             self._mem_dead.add(obj_id)
-        else:
-            self._mem_dead.discard(obj_id)
-        self._live -= 1
         return True
 
     def range_search(self, rect: Rect) -> List[Tuple[int, Point]]:
@@ -252,9 +256,19 @@ class LSMRTree:
         the newer run's own result set cannot be the test.
         """
         results: Dict[int, Point] = {}
-        for pending in self.memtable.iter_pending():
-            if rect.contains_point(pending.point):
-                results[pending.oid] = pending.point
+        lo, hi = rect.lo, rect.hi
+        if len(lo) == 2:
+            # Rect.contains_point's 2-D comparisons, without a call per point.
+            lo0, lo1 = lo
+            hi0, hi1 = hi
+            for pending in self.memtable.iter_pending():
+                point = pending.point
+                if lo0 <= point[0] <= hi0 and lo1 <= point[1] <= hi1:
+                    results[pending.oid] = point
+        else:
+            for pending in self.memtable.iter_pending():
+                if rect.contains_point(pending.point):
+                    results[pending.oid] = pending.point
         runs_probed = 0
         for i in range(len(self._runs) - 1, -1, -1):
             runs_probed += 1
@@ -308,18 +322,6 @@ class LSMRTree:
         return candidates[:k]
 
     # -- membership resolution ----------------------------------------------
-
-    def _is_live(self, oid: int) -> bool:
-        if oid in self._mem_dead:
-            return False
-        if self.memtable.pending_for(oid) is not None:
-            return True
-        for run in reversed(self._runs):
-            if run.contains_live(oid):
-                return True
-            if run.tombstones and run.is_tombstoned(oid):
-                return False
-        return False
 
     def _superseded(self, oid: int, run_index: int) -> bool:
         """Does any component newer than ``self._runs[run_index]`` mention
@@ -605,10 +607,15 @@ class LSMRTree:
                     live_seen.add(oid)
             suppressed.update(run.oids)
             suppressed.update(run.tombstones)
-        if len(live_seen) != self._live:
+        phantom = sorted(self._live - live_seen)
+        if phantom:
             problems.append(
-                f"live counter {self._live} != resolved live objects "
-                f"{len(live_seen)}"
+                f"live set holds oids that resolve dead: {phantom[:5]}"
+            )
+        missing = sorted(live_seen - self._live)
+        if missing:
+            problems.append(
+                f"live set lacks oids that resolve live: {missing[:5]}"
             )
         return problems
 
@@ -620,7 +627,7 @@ class LSMRTree:
         flush_stats = self.memtable.stats.to_dict()
         return {
             "kind": "lsm",
-            "size": self._live,
+            "size": len(self._live),
             "height": self.height,
             "node_count": sum(int(s.get("node_count", 0)) for s in per_run),
             "leaf_count": sum(int(s.get("leaf_count", 0)) for s in per_run),
@@ -641,7 +648,7 @@ class LSMRTree:
 
     def __repr__(self) -> str:
         return (
-            f"LSMRTree(live={self._live}, runs={len(self._runs)}, "
+            f"LSMRTree(live={len(self._live)}, runs={len(self._runs)}, "
             f"memtable={len(self.memtable)}, flushes={self.flushes}, "
             f"compactions={self.compaction.compactions})"
         )

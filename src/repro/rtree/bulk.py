@@ -1,22 +1,23 @@
-"""Sort-Tile-Recursive (STR) bulk loading.
+"""Sort-Tile-Recursive (STR) bulk loading of point sets.
 
 The paper notes that "bulk loading techniques [3] for R-tree can be applied"
 when building the structural R-tree over qs-regions (Section 3.1.4); the
-authors use repeated insertion for simplicity.  Both paths are provided here:
-the CT-R-tree builder defaults to repeated insertion (matching the paper) and
-can switch to STR packing, which the ablation bench compares.
+authors use repeated insertion, and so does the CT-R-tree builder here.
+STR packing loads the LSM-R-tree's immutable runs and the initial
+positions of the ``bulk_loading`` ablation.
 
 STR (Leutenegger et al.): sort the rectangles by the x-coordinate of their
 centers, cut into vertical slices of ``ceil(sqrt(P))`` pages each, sort every
 slice by center y, and pack runs of ``capacity`` into nodes; repeat one level
 up until a single node remains.
 
-Point loads tile the leaf level in columns (:func:`str_pack_columns`: stable
-``argsort`` on x, stable sort on y inside each slice, ``reduceat`` for the
-leaf MBRs, leaves filled from column slices); branch levels and rectangle
-loads tile real :class:`Entry` objects.  Either way a finished group lands
-in the node's entry container in group order, so bulk-loaded trees are laid
-out identically under either entry layout.
+Every level is tiled in columns (:func:`str_pack_columns`): a stable
+``argsort`` on center x, a stable sort on center y inside each slice.  The
+leaf level's centers are the points themselves, its MBRs come from
+``reduceat`` and its leaves are filled from column slices; a branch level's
+centers are ``(lo + hi) / 2.0`` over its children's MBR columns.  A finished
+group lands in the node's entry container in group order, so bulk-loaded
+trees are laid out identically under either entry layout.
 """
 
 from __future__ import annotations
@@ -28,28 +29,29 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.core.geometry import Point, Rect
-from repro.rtree.node import Entry, RTreeNode
+from repro.rtree.node import RTreeNode
 from repro.rtree.rtree import RTree
 from repro.storage.page import NO_PAGE
 
 
-def _tile(entries: List[Entry], capacity: int) -> List[List[Entry]]:
-    """Group entries into STR tiles of at most ``capacity`` each."""
-    n = len(entries)
-    page_count = math.ceil(n / capacity)
-    slice_count = math.ceil(math.sqrt(page_count))
-    per_slice = slice_count * capacity
+def _str_order(centers: np.ndarray, capacity: int) -> np.ndarray:
+    """The STR tiling of rows with ``centers`` (``float64 (n, dim)``): the
+    row order in which consecutive runs of ``capacity`` form the nodes.
 
-    ordered = sorted(entries, key=lambda e: e.rect.center[0])
-    groups: List[List[Entry]] = []
-    for start in range(0, n, per_slice):
-        chunk = sorted(
-            ordered[start : start + per_slice],
-            key=lambda e: e.rect.center[1] if e.rect.dim > 1 else 0.0,
-        )
-        for j in range(0, len(chunk), capacity):
-            groups.append(chunk[j : j + capacity])
-    return groups
+    Sorts are stable over the input order, so every tie breaks the way
+    ``sorted()`` over the same rows breaks it.
+    """
+    n = len(centers)
+    slice_count = math.ceil(math.sqrt(math.ceil(n / capacity)))
+    per_slice = slice_count * capacity
+    order = np.argsort(centers[:, 0], kind="stable")
+    if centers.shape[1] > 1:
+        # Within each vertical slice, stably by y: ties keep the x order.
+        # A slice is a whole number of nodes, so nodes start every
+        # ``capacity`` rows.
+        slices = np.arange(n) // per_slice
+        order = order[np.lexsort((centers[order, 1], slices))]
+    return order
 
 
 def str_pack(
@@ -77,11 +79,12 @@ def str_pack_columns(
     """:func:`str_pack` over columns: ``oids`` is ``int64 (n,)`` and
     ``coords`` ``float64 (n, dim)``, row ``i`` being object ``oids[i]``.
 
-    The leaf level is tiled with stable sorts over the input order, so the
-    tree -- every leaf, its entry order, every page id -- is the one sorting
-    per-entry objects with ``sorted()`` builds; each leaf is filled straight
-    from column slices.  Branch levels hold ``n / capacity`` entries and
-    tile real :class:`Entry` objects.
+    Every level is tiled with stable sorts over its input order, so the
+    tree -- every node, its entry order, every page id -- is the one
+    sorting per-entry objects with ``sorted()`` builds.  Leaves are filled
+    straight from column slices; a branch level sorts its children's MBR
+    centers, ``(lo + hi) / 2.0`` -- the double ``Rect.center`` computes --
+    and appends each child's bounds as they are.
     """
     if len(tree) != 0:
         raise ValueError("str_pack requires an empty tree")
@@ -93,16 +96,9 @@ def str_pack_columns(
 
     pager = tree.pager
     capacity = max(2, int(tree.max_entries * fill))
-    slice_count = math.ceil(math.sqrt(math.ceil(n / capacity)))
-    per_slice = slice_count * capacity
 
-    order = np.argsort(coords[:, 0], kind="stable")
-    if coords.shape[1] > 1:
-        # Within each vertical slice, stably by y: ties keep the x order.
-        slices = np.arange(n) // per_slice
-        order = order[np.lexsort((coords[order, 1], slices))]
+    order = _str_order(coords, capacity)
     tiled = coords[order].T  # one row per dimension, in leaf order
-    # A slice is a whole number of leaves, so leaves start every ``capacity``.
     starts = np.arange(0, n, capacity)
     los = np.minimum.reduceat(tiled, starts, axis=1).T
     his = np.maximum.reduceat(tiled, starts, axis=1).T
@@ -133,19 +129,21 @@ def str_pack_columns(
     level = 0
     while len(nodes) > 1:
         level += 1
-        parent_entries = [
-            Entry(node.mbr, node.pid) for node in nodes if node.mbr is not None
-        ]
+        child_lo = [node.mbr.lo for node in nodes]
+        child_hi = [node.mbr.hi for node in nodes]
+        centers = (np.array(child_lo) + np.array(child_hi)) / 2.0
+        order_list = _str_order(centers, capacity).tolist()
         parents: List[RTreeNode] = []
-        for group in _tile(parent_entries, capacity):
+        for start in range(0, len(order_list), capacity):
             parent = RTreeNode(level=level)
-            parent.entries = group
+            entries = parent.entries
+            group = order_list[start : start + capacity]
+            for i in group:
+                entries.append_packed(child_lo[i], child_hi[i], nodes[i].pid)
             parent.mbr = parent.tight_mbr()
             pager.allocate(parent)
-            for entry in group:
-                child = pager.inspect(entry.child)
-                assert isinstance(child, RTreeNode)
-                child.parent = parent.pid
+            for i in group:
+                nodes[i].parent = parent.pid
             parents.append(parent)
         nodes = parents
 
@@ -154,49 +152,4 @@ def str_pack_columns(
     pager.free(tree.root_pid)  # discard the empty bootstrap root
     tree._root_pid = root.pid
     tree._size = n
-    return tree
-
-
-def str_pack_rects(
-    tree: RTree,
-    rects: Sequence[Tuple[Rect, int]],
-    fill: float = 0.7,
-) -> RTree:
-    """Bulk-load (rect, payload-id) pairs; used to pack structural skeletons."""
-    if len(tree) != 0:
-        raise ValueError("str_pack_rects requires an empty tree")
-    items = [Entry(rect, payload) for rect, payload in rects]
-    if not items:
-        return tree
-    pager = tree.pager
-    capacity = max(2, int(tree.max_entries * fill))
-
-    nodes: List[RTreeNode] = []
-    for group in _tile(items, capacity):
-        node = RTreeNode(level=0)
-        node.entries = group
-        node.mbr = node.tight_mbr()
-        pager.allocate(node)
-        nodes.append(node)
-    level = 0
-    while len(nodes) > 1:
-        level += 1
-        parent_entries = [Entry(n.mbr, n.pid) for n in nodes if n.mbr is not None]
-        parents = []
-        for group in _tile(parent_entries, capacity):
-            parent = RTreeNode(level=level)
-            parent.entries = group
-            parent.mbr = parent.tight_mbr()
-            pager.allocate(parent)
-            for entry in group:
-                child = pager.inspect(entry.child)
-                assert isinstance(child, RTreeNode)
-                child.parent = parent.pid
-            parents.append(parent)
-        nodes = parents
-    root = nodes[0]
-    root.parent = NO_PAGE
-    pager.free(tree.root_pid)
-    tree._root_pid = root.pid
-    tree._size = len(items)
     return tree

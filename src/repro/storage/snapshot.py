@@ -460,7 +460,8 @@ def _load_lsm_document(document: Dict) -> LSMRTree:
     # the pid cursor; restore it so save -> load -> save is byte-identical.
     pager._next_pid = document["pager"]["next_pid"]
     max_seq = 0
-    for raw in meta["memtable"]:
+    # The memtable is held in seq order; the writer emits it that way.
+    for raw in sorted(meta["memtable"], key=lambda raw: raw["seq"]):
         pending = PendingUpdate(
             oid=raw["oid"],
             old_point=None if raw["old"] is None else tuple(raw["old"]),
@@ -473,7 +474,12 @@ def _load_lsm_document(document: Dict) -> LSMRTree:
         max_seq = max(max_seq, pending.seq)
     index.memtable._seq = max_seq
     index._mem_dead = set(meta["mem_dead"])
-    index._live = meta["live"]
+    index._live = {oid for oid, _ in index.iter_objects()}
+    if len(index._live) != meta["live"]:
+        raise SnapshotError(
+            f"lsm document records {meta['live']} live objects but its "
+            f"components resolve {len(index._live)}"
+        )
     index._next_seq = meta["next_seq"]
     pager.stats.reset()
     return index

@@ -1,13 +1,14 @@
 """Unit tests for STR bulk loading."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from repro.core.geometry import Rect
 from repro.rtree import RTree, str_pack
-from repro.rtree.bulk import _tile, str_pack_columns, str_pack_rects
+from repro.rtree.bulk import str_pack_columns
 from repro.rtree.node import Entry, RTreeNode, set_default_layout
 from repro.storage.page import NO_PAGE
 from repro.storage.pager import Pager
@@ -92,10 +93,30 @@ class TestStrPack:
         assert got == expected
 
 
+def _tile(entries, capacity):
+    """Group entries into STR tiles of at most ``capacity`` each, sorting
+    ``Entry`` objects by ``Rect.center`` with ``sorted()``."""
+    n = len(entries)
+    page_count = math.ceil(n / capacity)
+    slice_count = math.ceil(math.sqrt(page_count))
+    per_slice = slice_count * capacity
+
+    ordered = sorted(entries, key=lambda e: e.rect.center[0])
+    groups = []
+    for start in range(0, n, per_slice):
+        chunk = sorted(
+            ordered[start : start + per_slice],
+            key=lambda e: e.rect.center[1] if e.rect.dim > 1 else 0.0,
+        )
+        for j in range(0, len(chunk), capacity):
+            groups.append(chunk[j : j + capacity])
+    return groups
+
+
 def reference_str_pack(tree, items, fill):
     """The per-entry loader the column kernel replaced: one ``Entry`` per
-    point, ``sorted()`` tiling at every level.  Kept as the reference the
-    kernel must reproduce page for page."""
+    point and per child, ``sorted()`` tiling at every level.  Kept as the
+    reference the kernel must reproduce page for page."""
     pager = tree.pager
     capacity = max(2, int(tree.max_entries * fill))
     entries = [Entry.for_point(tuple(point), oid) for oid, point in items]
@@ -157,6 +178,11 @@ EDGE_CASES = {
         (oid, ((-0.0, 0.0)[oid % 2], (0.0, -0.0, 1.0)[oid % 3])) for oid in range(60)
     ],
     "unsorted_oids": [(oid * 37 % 101, (float(oid % 9), float(oid % 4))) for oid in range(101)],
+    # 58 leaves -> 9 -> 2 -> 1: three branch levels over distinct centers.
+    "three_branch_levels": [
+        (oid, (float(x), float(y)))
+        for oid, (x, y) in enumerate(np.random.default_rng(5).uniform(0, 100, (400, 2)).tolist())
+    ],
 }
 
 
@@ -194,24 +220,3 @@ class TestColumnKernelMatchesPerEntryLoader:
             str_pack(tree, [])
         with pytest.raises(ValueError):
             str_pack(RTree(Pager(), max_entries=8), [], fill=1.5)
-
-
-class TestStrPackRects:
-    def test_pack_rectangles(self, tree, rng):
-        rects = []
-        for i in range(80):
-            x, y = rng.uniform(0, 90), rng.uniform(0, 90)
-            rects.append((Rect((x, y), (x + 5, y + 5)), i))
-        str_pack_rects(tree, rects)
-        assert len(tree) == 80
-        problems = [p for p in tree.validate() if "fill" not in p]
-        assert problems == []
-
-    def test_requires_empty_tree(self, tree):
-        tree.insert(1, (0, 0))
-        with pytest.raises(ValueError):
-            str_pack_rects(tree, [(Rect((0, 0), (1, 1)), 5)])
-
-    def test_empty_is_noop(self, tree):
-        str_pack_rects(tree, [])
-        assert len(tree) == 0

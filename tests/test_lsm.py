@@ -11,7 +11,14 @@ from repro.lsm import LSMConfig, LSMRTree
 from repro.obs import get_registry, set_enabled
 from repro.storage import Pager
 from repro.storage.iostats import IOCategory
-from repro.storage.snapshot import index_kind_of, load_index, save_index
+from repro.storage.snapshot import (
+    SnapshotError,
+    build_document,
+    index_kind_of,
+    load_document,
+    load_index,
+    save_index,
+)
 
 DOMAIN = Rect((0.0, 0.0), (1000.0, 1000.0))
 
@@ -339,7 +346,7 @@ class TestColumnEdgeCases:
         assert list(Run(tree, [9, 1, 4], {7, 2}, seq=0).oids) == [1, 4, 9]
         assert list(Run(tree, [9, 1, 4], {7, 2}, seq=0).tombstones) == [2, 7]
         assert run.mentions(4) and not run.mentions(5)
-        assert run.contains_live(9) and not run.is_tombstoned(9)
+        assert run.mentions(9) and 9 not in run.tombstones
 
 
 class TestFlatUpdateCost:
@@ -406,6 +413,12 @@ class TestSnapshot:
             with open(first, "rb") as fa, open(second, "rb") as fb:
                 assert fa.read() == fb.read()
 
+    def test_live_count_disagreeing_with_components_is_rejected(self):
+        document = build_document(self._populated())
+        document["index"]["live"] += 1
+        with pytest.raises(SnapshotError, match="resolve 19"):
+            load_document(document)
+
     def test_loaded_index_keeps_evolving(self):
         lsm = self._populated()
         with tempfile.TemporaryDirectory() as d:
@@ -434,11 +447,20 @@ class TestVerify:
         assert report.checked_objects > 0
 
     def test_live_counter_drift_is_flagged(self):
-        lsm = self._populated()
-        lsm._live += 1
-        report = verify_index(lsm)
-        assert not report.ok
-        assert any(v.code == "size-counter" for v in report.violations)
+        # The live set drifts either way: a deleted oid added back (len()
+        # over-counts), or a live oid dropped (len() under-counts).
+        drifts = [
+            (lambda live: live.add(3), "resolve dead: [3]"),
+            (lambda live: live.discard(5), "live set: [5]"),
+        ]
+        for drift, needle in drifts:
+            lsm = self._populated()
+            drift(lsm._live)
+            report = verify_index(lsm)
+            assert not report.ok
+            flagged = [v for v in report.violations if v.code == "lsm-live-set"]
+            assert len(flagged) == 1 and needle in flagged[0].message
+            assert len(lsm.validate()) == 1
 
     def test_side_table_disagreement_is_flagged(self):
         lsm = self._populated()

@@ -10,13 +10,18 @@ boundary: memtable-only, memtable + runs, mid-compaction run layouts.
 from __future__ import annotations
 
 import math
+import os
+import random
+import tempfile
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.geometry import Rect
+from repro.durability import DurabilityManager, recover
 from repro.health import verify_index
 from repro.lsm import LSMConfig, LSMRTree
 from repro.storage.pager import Pager
+from repro.storage.snapshot import load_index, save_index
 
 DOMAIN = Rect((0.0, 0.0), (100.0, 100.0))
 
@@ -52,6 +57,14 @@ CONFIGS = st.sampled_from(
 def _drive(lsm, ops):
     """Apply the interleaving; returns the latest-position oracle."""
     oracle = {}
+    for _ in _steps(lsm, ops, oracle):
+        pass
+    return oracle
+
+
+def _steps(lsm, ops, oracle):
+    """Apply the interleaving one op at a time, keeping ``oracle`` (the
+    latest-position dict) current; yields the oid after each op."""
     t = 0.0
     for op, oid, x, y in ops:
         t += 1.0
@@ -69,7 +82,24 @@ def _drive(lsm, ops):
             lsm.flush()
         else:
             lsm.compact_step()
-    return oracle
+        yield oid
+
+
+def newest_first_live(lsm, oid):
+    """Liveness by walking the components newest first -- the memtable's
+    death marks and pending entries, then each run from the newest -- where
+    the first component that mentions ``oid`` decides.  The reference the
+    index's live-oid set must agree with."""
+    if oid in lsm._mem_dead:
+        return False
+    if lsm.memtable.pending_for(oid) is not None:
+        return True
+    for run in reversed(lsm.runs):
+        if oid in run.oids:
+            return True
+        if oid in run.tombstones:
+            return False
+    return False
 
 
 class TestLSMProperties:
@@ -154,3 +184,69 @@ class TestLSMProperties:
         assert dict(lsm.range_search(DOMAIN)) == oracle
         assert sorted(dict(lsm.iter_objects()).items()) == sorted(oracle.items())
         assert verify_index(lsm).ok
+
+    @SETTINGS
+    @given(ops=OPS, config=CONFIGS)
+    def test_live_set_matches_newest_first_walk_at_every_step(self, ops, config):
+        lsm = LSMRTree(Pager(), max_entries=4, config=config)
+        oracle = {}
+        touched = set()
+        for oid in _steps(lsm, ops, oracle):
+            touched.add(oid)
+            for probe in touched:
+                live = probe in oracle
+                assert (probe in lsm._live) == live
+                assert newest_first_live(lsm, probe) == live
+            assert len(lsm) == len(oracle)
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "lsm.snap")
+            save_index(lsm, path)
+            assert load_index(path)._live == lsm._live
+
+
+def test_recovery_restores_the_acked_live_set(tmp_path):
+    """Crash an LSM holding flushed runs, a tombstone and a non-empty
+    memtable: recovery (checkpoint + WAL tail) rebuilds the acked model."""
+    rng = random.Random(3)
+    manager = DurabilityManager(tmp_path, sync="always")
+    config = LSMConfig(memtable_size=8, size_ratio=2, max_runs=4)
+    lsm = LSMRTree(Pager(), max_entries=4, config=config, wal=manager)
+    manager.attach(lsm)
+    model = {}
+    t = 0.0
+
+    def upsert(oid):
+        point = (rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0))
+        if oid in model:
+            lsm.update(oid, model[oid], point, now=t)
+        else:
+            lsm.insert(oid, point, now=t)
+        model[oid] = point
+
+    def delete(oid):
+        manager.log_delete(oid, model[oid], t)
+        assert lsm.delete(oid)
+        del model[oid]
+
+    try:
+        for oid in range(20):
+            t += 1.0
+            upsert(oid)
+        delete(3)
+        manager.checkpoint()
+        for _ in range(30):
+            t += 1.0
+            upsert(rng.randrange(26))
+        delete(next(oid for oid in sorted(model) if lsm.runs[-1].mentions(oid)))
+        # The crash point: runs on the pager, a pending tombstone, acked
+        # updates still in the memtable.
+        assert lsm.run_count >= 1 and lsm._mem_dead and len(lsm.memtable) > 0
+    finally:
+        manager.close()
+
+    recovered, report = recover(tmp_path)
+    assert report.checkpoint_ordinal == 1 and report.records_replayed > 0
+    assert report.verify_ok, report.verify_violations
+    assert len(recovered) == len(model)
+    assert recovered._live == set(model)
+    assert dict(recovered.range_search(DOMAIN)) == model
