@@ -247,9 +247,7 @@ def time_ct_build(bundle):
 def run_parallel_sharded(bundle, workers, *, mode="process"):
     """The lazy workload over the worker-pool router at ``workers`` workers
     (== shards), updates batched so dispatch amortizes the IPC round-trip."""
-    from repro.parallel import ParallelShardedIndex
-
-    index = ParallelShardedIndex(
+    index = ShardedIndex(
         IndexKind.LAZY,
         bundle.domain,
         workers,
@@ -387,8 +385,6 @@ def run_rebalance_bench():
         partition_from_dict,
     )
     from repro.health import verify_index
-    from repro.parallel import ParallelShardedIndex
-
     domain, histories, start, ops = skewed_workload()
     partitioners = {}
     for name in PARTITIONER_KINDS:
@@ -401,7 +397,7 @@ def run_rebalance_bench():
             ),
         )
         inline_run = replay_skewed(inline, ops)
-        par = ParallelShardedIndex(
+        par = ShardedIndex(
             IndexKind.LAZY,
             domain,
             mode="process",

@@ -517,7 +517,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             print("--parallel needs --workers N (or --shards N) with N >= 2",
                   file=sys.stderr)
             return 1
-        sharded = False  # the parallel router replaces the inline one
+        sharded = False  # one router; --parallel picks its pool executor
     kinds = tuple(dict.fromkeys(args.index)) if args.index else IndexKind.ALL
     print(f"{len(stream)} updates, {len(queries)} queries (ratio {args.ratio:g})")
     if pooled:
@@ -576,14 +576,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     rebalancer = ShardRebalancer(RebalancePolicy(
                         strategy="speed" if partitioner == "speed" else "density"
                     ))
-                if parallel:
-                    from repro.parallel import ParallelShardedIndex
-
-                    index = ParallelShardedIndex(
+                if sharded or parallel:
+                    index = ShardedIndex(
                         kind,
                         domain,
-                        n_workers,
-                        mode=parallel_mode,
+                        n_workers if parallel else args.shards,
+                        mode=parallel_mode if parallel else "inline",
                         histories=histories if kind == IndexKind.CT else None,
                         query_rate=query_rate,
                         pool_frames=args.buffer_pool,
@@ -591,19 +589,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
                         rebalancer=rebalancer,
                     )
                     closer = index
-                    store = index.pager
-                    store_metrics = store.metrics_dict
-                elif sharded:
-                    index = ShardedIndex(
-                        kind,
-                        domain,
-                        args.shards,
-                        histories=histories if kind == IndexKind.CT else None,
-                        query_rate=query_rate,
-                        pool_frames=args.buffer_pool,
-                        partition=partition,
-                        rebalancer=rebalancer,
-                    )
                     store = index.pager
                     store_metrics = store.metrics_dict
                 else:

@@ -34,6 +34,7 @@ from repro.durability.checkpoint import (
 )
 from repro.durability.recovery import SHARD_DIR_PREFIX
 from repro.durability.wal import SyncPolicy, WalOp, WalStats, WriteAheadLog
+from repro.engine.sharded import ShardedIndex
 
 
 def _position(point: Optional[Sequence[float]]) -> Optional[Tuple[float, ...]]:
@@ -96,7 +97,7 @@ class DurabilityManager:
             raise RuntimeError("DurabilityManager is already attached")
         self._index = index
         self._kind = kind
-        if hasattr(index, "partition") and hasattr(index, "shards"):
+        if isinstance(index, ShardedIndex):
             self._router = index.partition
             for sid in range(index.partition.n_shards):
                 self._wals[sid] = self._open_wal(

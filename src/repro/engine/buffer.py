@@ -295,9 +295,10 @@ class UpdateBuffer:
         Batch dispatch: an index exposing ``apply_batch`` receives the whole
         sorted batch in one call and the per-update loop below is not used.
         The lazy-R-tree and alpha-tree group the batch by page (one read per
-        hash bucket, one read and one write per touched leaf); the parallel
-        sharded engine groups it by shard and dispatches to workers
-        concurrently; the LSM's flush sink turns it into a run.
+        hash bucket, one read and one write per touched leaf); the sharded
+        router queues it per shard for its executor (one op at a time
+        inline, concurrent sub-batches on a worker pool); the LSM's flush
+        sink turns it into a run.
 
         The ``apply_batch`` contract: the batch arrives in ``(t, seq)``
         order; a provider that may also be handed an uncoalesced batch (the

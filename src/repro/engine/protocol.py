@@ -123,8 +123,9 @@ class Introspectable(Protocol):
     """What :func:`repro.obs.tree_stats` duck-types against (paged trees).
 
     Wrapper indexes (lazy-R-tree, the sharded router) satisfy the probe
-    differently -- by delegation (``.tree``) or aggregation (``.shards``) --
-    so the engine treats this as a capability, not a requirement.
+    differently -- by delegation (``.tree``) or their own probe
+    (``collect_tree_stats``) -- so the engine treats this as a capability,
+    not a requirement.
     """
 
     @property

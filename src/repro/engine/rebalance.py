@@ -1,6 +1,6 @@
 """Adaptive shard management: pluggable partitioners and online rebalance.
 
-PR 5's worker pool parallelised the sharded engine but kept MOIST's static
+The worker pool parallelised the sharded engine but kept MOIST's static
 equal-width grid.  On a skewed workload (a flash crowd dwelling in one
 narrow slab, fast movers churning across boundaries) the pool serialises
 on one hot worker and every cross-boundary move pays a two-round-trip
@@ -40,6 +40,7 @@ import math
 from bisect import bisect_right, insort
 from dataclasses import asdict, dataclass
 from typing import (
+    TYPE_CHECKING,
     Any,
     Dict,
     FrozenSet,
@@ -55,8 +56,10 @@ from typing import (
 )
 
 from repro.core.geometry import Point, Rect
-from repro.engine.results import RunResult
 from repro.engine.sharded import SpacePartition
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.sharded import ShardedIndex
 
 #: ``to_dict`` document version.  Version 1 (PR 3..5) was the bare grid
 #: triple ``{n_shards, axis, domain}``; version 2 adds ``partitioner`` and
@@ -69,7 +72,7 @@ PARTITIONER_KINDS = ("grid", "density", "speed")
 
 @runtime_checkable
 class Partitioner(Protocol):
-    """What the sharded engines need from a partition policy."""
+    """What the sharded engine needs from a partition policy."""
 
     domain: Rect
     n_shards: int
@@ -98,21 +101,6 @@ class Partitioner(Protocol):
     def to_dict(self) -> Dict[str, object]:
         """Versioned snapshot document (see :func:`partition_from_dict`)."""
         ...
-
-
-class RoutedEngine(Protocol):
-    """What the rebalancer needs from an engine (both sharded engines)."""
-
-    partition: Any
-    domain: Rect
-
-    def shard_results(self) -> List[RunResult]: ...
-
-    def position_map(self) -> Dict[int, Point]: ...
-
-    def cross_move_counts(self) -> Dict[int, int]: ...
-
-    def apply_partition(self, partition: "Partitioner") -> None: ...
 
 
 def _widest_axis(domain: Rect) -> int:
@@ -509,7 +497,7 @@ class ShardRebalancer:
         self._window_base: Optional[List[float]] = None
         self._armed = True
 
-    def note_op(self, engine: RoutedEngine) -> bool:
+    def note_op(self, engine: "ShardedIndex") -> bool:
         """Post-op hook; runs a detection sweep every ``check_every`` ops."""
         self._ops_since_check += 1
         if self._ops_since_check < self.policy.check_every:
@@ -517,7 +505,7 @@ class ShardRebalancer:
         self._ops_since_check = 0
         return self.maybe_rebalance(engine)
 
-    def _window_deltas(self, engine: RoutedEngine) -> List[float]:
+    def _window_deltas(self, engine: "ShardedIndex") -> List[float]:
         totals = [
             float(r.update_io.total + r.query_io.total)
             for r in engine.shard_results()
@@ -536,7 +524,7 @@ class ShardRebalancer:
             return 0.0
         return max(deltas) / (total / len(deltas))
 
-    def maybe_rebalance(self, engine: RoutedEngine) -> bool:
+    def maybe_rebalance(self, engine: "ShardedIndex") -> bool:
         """One detection sweep; applies a plan when armed and hot."""
         deltas = self._window_deltas(engine)
         if sum(deltas) < self.policy.min_window_ios:
@@ -575,7 +563,7 @@ class ShardRebalancer:
     # -- planning -----------------------------------------------------------
 
     def plan(
-        self, engine: RoutedEngine, hot_sid: int
+        self, engine: "ShardedIndex", hot_sid: int
     ) -> Optional[Partitioner]:
         """Choose a replacement partition, or ``None`` when no improvement
         is expressible (all mass at one coordinate, no churners yet, ...)."""

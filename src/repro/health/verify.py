@@ -185,18 +185,6 @@ def verify_index(index, *, kind: Optional[str] = None) -> VerifyReport:
     if isinstance(index, ShardedIndex):
         report.kind = "sharded"
         _verify_sharded(index, report)
-    elif (
-        hasattr(index, "shards")
-        and hasattr(index, "partition")
-        and hasattr(index, "_owner")
-    ):
-        # Duck-typed router surface: the parallel engine in thread mode (or
-        # after its inline fallback) exposes `shards`/`partition`/`_owner`
-        # exactly like ShardedIndex.  In process mode the shards live in
-        # worker processes, `shards` raises AttributeError, and dispatch
-        # falls through to the registry path below.
-        report.kind = "sharded"
-        _verify_sharded(index, report)
     elif isinstance(index, LSMRTree):
         report.kind = "lsm"
         _verify_lsm(index, report)
@@ -634,8 +622,13 @@ def _verify_node_buffer(
 
 
 def _verify_sharded(sharded: ShardedIndex, report: VerifyReport) -> None:
+    try:
+        shards = sharded.shards
+    except AttributeError as exc:
+        report.add("unsupported", "sharded", str(exc))
+        return
     residents: Dict[int, Tuple[int, Point]] = {}
-    for shard in sharded.shards:
+    for shard in shards:
         prefix = f"shard {shard.sid}: "
         index = shard.index
         if isinstance(index, CTRTree):
@@ -666,7 +659,7 @@ def _verify_sharded(sharded: ShardedIndex, report: VerifyReport) -> None:
                     f"shard {shard.sid}",
                     f"object {obj_id} at {position} belongs to slab {home}",
                 )
-    n = len(sharded.shards)
+    n = len(shards)
     for obj_id, sid in sharded._owner.items():
         if not 0 <= sid < n:
             report.add(

@@ -49,13 +49,10 @@ def tree_stats(index) -> Dict[str, object]:
         return tree_stats(index.inner)
     collect = getattr(index, "collect_tree_stats", None)
     if collect is not None:
-        # An index whose structure is not parent-resident (the parallel
-        # engine's process workers) gathers its own per-shard probes.
+        # An index that gathers its own probes: the sharded router (each
+        # shard probed wherever it lives) and the LSM-R-tree (per run).
         return collect()
     outer = index
-    if hasattr(index, "shards") and hasattr(index, "partition"):
-        # The engine's sharded router: aggregate the per-shard probes.
-        return _sharded_stats(index)
     if not hasattr(index, "root_pid") and hasattr(index, "tree"):
         # Wrapper indexes (the lazy-R-tree) delegate the paged tree itself.
         index = index.tree
@@ -130,21 +127,11 @@ def tree_stats(index) -> Dict[str, object]:
     return stats
 
 
-def _sharded_stats(index) -> Dict[str, object]:
-    """Aggregate probe over a sharded engine: per-shard stats plus sums.
-
-    Sums what adds (sizes, node/entry counts, tally counters), maxes what
-    does not (height), and keeps the per-shard breakdown so skew -- the
-    failure mode of a static partition -- stays visible.
-    """
-    per_shard = [tree_stats(shard.index) for shard in index.shards]
-    return aggregate_shard_stats(per_shard, index)
-
-
 def aggregate_shard_stats(per_shard, index) -> Dict[str, object]:
-    """Aggregate already-collected per-shard probe dicts (see
-    :func:`_sharded_stats`); the parallel engine calls this with probes its
-    workers computed in their own processes."""
+    """Aggregate per-shard probe dicts over a sharded engine: sums what
+    adds (sizes, node/entry counts, tally counters), maxes what does not
+    (height), and keeps the per-shard breakdown so skew -- the failure
+    mode of a static partition -- stays visible."""
     sizes = [int(s.get("size", 0)) for s in per_shard]
     aggregated: Dict[str, object] = {
         "sharded": True,

@@ -1,17 +1,17 @@
-"""repro.parallel: worker-pool execution for the sharded engine.
+"""repro.parallel: the worker-pool shard executor.
 
-Two coordinated pieces:
-
-* :class:`~repro.parallel.sharded.ParallelShardedIndex` -- the sharded
-  engine's worker-pool execution mode (process or thread workers, one per
-  shard), with batched dispatch, concurrent query fan-out, sequenced
-  cross-shard moves, and graceful inline fallback on worker failure;
-* :mod:`~repro.parallel.workers` -- the shard-worker command protocol and
-  the process/thread worker implementations.
+``ShardedIndex(..., mode="thread" | "process")`` imports this package to run
+its shards on a pool (:mod:`repro.parallel.workers`): one worker exclusively
+owns one shard, commands travel over a pipe or a shared-memory mailbox
+(:mod:`repro.parallel.shm`) in ``RPK1`` column frames
+(:mod:`repro.parallel.pack`), and :class:`PoolExecutor` reconciles each
+response's I/O deltas into the router's ledgers.  The router itself --
+routing, ledgers, sequenced moves, fallback on a worker's death -- lives in
+:mod:`repro.engine.sharded`.
 """
 
-from repro.parallel.sharded import ParallelShardedIndex, ShardLedger
 from repro.parallel.workers import (
+    PoolExecutor,
     ProcessWorker,
     ShardServer,
     ThreadWorker,
@@ -19,12 +19,9 @@ from repro.parallel.workers import (
 )
 
 __all__ = [
-    "ParallelShardedIndex",
-    "ShardLedger",
+    "PoolExecutor",
     "ProcessWorker",
     "ThreadWorker",
     "ShardServer",
     "WorkerFailure",
 ]
-
-PARALLEL_MODES = ("off", "thread", "process")

@@ -12,23 +12,18 @@ dispatch is awaited before the parent reads any shard state -- so no lock is
 needed anywhere.
 
 I/O accounting: each worker charges a **private** ledger.  Every response
-carries the per-category read/write deltas the command incurred; the parent
-reconciles them into its shared ledger -- single-threaded -- via
+carries the per-category read/write deltas the command incurred, and
+:class:`PoolExecutor` -- the sharded router's executor for ``mode="thread"``
+/ ``"process"`` -- reconciles them into the router's per-shard ledgers,
+single-threaded, after the await, via
 :meth:`~repro.storage.iostats.IOStats.charge`.  This sidesteps the data race
 a mirrored ledger (``ShardIOStats``) would have under concurrent workers,
-and keeps parallel runs' I/O counts identical to inline runs' (the same
-page operations happen, only the ledger hop differs).
+and keeps pool runs' I/O counts identical to inline runs' (the same page
+operations happen, only the ledger hop differs).
 
-Command protocol (plain tuples, picklable):
-
-* ``("apply", category, ops)`` -- ops are ``("insert", oid, point, t)``,
-  ``("update", oid, old_point, point, t)`` or ``("delete", oid, old_point,
-  t)`` tuples, applied in order under the given I/O category.
-* ``("query", category, lo, hi)`` -- range search over ``Rect(lo, hi)``.
-* ``("stats",)`` -- structural probe (``tree_stats``) plus pager telemetry.
-* ``("ping", token)`` -- transport echo (dispatch-RTT measurement).
-* ``("crash",)`` -- fault-injection hook: die without responding.
-* ``("shutdown",)`` -- exit the command loop cleanly.
+Commands are :class:`~repro.engine.sharded.ShardServer`'s protocol, plus
+two the worker loop handles itself: ``("crash",)`` (fault-injection hook:
+die without responding) and ``("shutdown",)`` (exit the loop cleanly).
 
 Transports (process mode): commands and responses travel over a
 shared-memory mailbox channel (:mod:`repro.parallel.shm`) when the host
@@ -47,15 +42,21 @@ import pickle
 import queue
 import threading
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.geometry import Rect
-from repro.engine.registry import IndexOptions, get_spec
-from repro.engine.sharded import Shard, build_shard
-from repro.obs.treestats import tree_stats
+from repro.engine.registry import IndexOptions
+from repro.engine.sharded import (
+    Shard,
+    ShardServer,
+    WorkerFailure,
+    build_shard,
+    io_deltas,
+)
+from repro.obs.metrics import get_registry
 from repro.parallel.pack import pack_ops
 from repro.parallel.shm import ShmChannel, decode_frames, shm_available
-from repro.storage.iostats import IOCategory, IOCounter, IOStats
+from repro.storage.iostats import IOCategory, IOStats
 
 #: How often the awaiting parent re-checks worker liveness while blocked on
 #: a response.  Detection latency only -- correctness never times out.
@@ -96,135 +97,6 @@ def encode_cmd(cmd: tuple) -> bytes:
     return pickle.dumps(cmd, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-class WorkerFailure(RuntimeError):
-    """A shard worker died (process exit or thread abort) mid-command."""
-
-
-def _io_deltas(
-    before: Dict[str, IOCounter], after: Dict[str, IOCounter]
-) -> List[Tuple[str, int, int]]:
-    """Per-category (reads, writes) growth between two ledger snapshots."""
-    out: List[Tuple[str, int, int]] = []
-    for cat, counter in after.items():
-        base = before.get(cat)
-        dr = counter.reads - (base.reads if base else 0)
-        dw = counter.writes - (base.writes if base else 0)
-        if dr or dw:
-            out.append((cat, dr, dw))
-    return out
-
-
-class ShardServer:
-    """Executes the command protocol against the one shard it owns."""
-
-    def __init__(self, kind: str, shard: Shard) -> None:
-        self.kind = kind
-        self.shard = shard
-        self._spec = get_spec(kind)
-
-    def execute(self, cmd: tuple) -> dict:
-        tag = cmd[0]
-        if tag == "apply":
-            return self._apply(cmd[1], cmd[2])
-        if tag == "query":
-            return self._query(cmd[1], cmd[2], cmd[3])
-        if tag == "stats":
-            return self._stats()
-        if tag == "ping":
-            # Transport echo: no shard work, no I/O — the unit of measure
-            # for the dispatch-RTT microbench.
-            return {
-                "ok": True,
-                "pong": cmd[1] if len(cmd) > 1 else None,
-                "io": [],
-                "wall_s": 0.0,
-            }
-        raise ValueError(f"unknown worker command {tag!r}")
-
-    def _telemetry(self, resp: dict) -> dict:
-        resp["len"] = len(self.shard.index)
-        resp["page_count"] = self.shard.pager.page_count
-        return resp
-
-    def _apply(self, category: str, ops: List[tuple]) -> dict:
-        shard = self.shard
-        stats = shard.pager.stats
-        before = stats.snapshot()
-        applied = 0
-        last_pid = None
-        removed = False
-        error: Optional[BaseException] = None
-        t0 = perf_counter()
-        with stats.category(category):
-            try:
-                for op in ops:
-                    tag = op[0]
-                    if tag == "insert":
-                        last_pid = shard.index.insert(op[1], op[2], now=op[3])
-                    elif tag == "update":
-                        last_pid = shard.index.update(
-                            op[1], op[2], op[3], now=op[4]
-                        )
-                    elif tag == "delete":
-                        removed = bool(
-                            self._spec.delete(shard.index, op[1], op[2], op[3])
-                        )
-                    else:
-                        raise ValueError(f"unknown apply op {tag!r}")
-                    applied += 1
-            except Exception as exc:  # op-level failure: report, stay alive
-                error = exc
-        wall = perf_counter() - t0
-        shard.wall_clock_s += wall
-        shard.n_updates += applied
-        resp = {
-            "ok": error is None,
-            "applied": applied,
-            "pid": last_pid,
-            "removed": removed,
-            "io": _io_deltas(before, stats.snapshot()),
-            "wall_s": wall,
-        }
-        if error is not None:
-            resp["error"] = str(error)
-            resp["exc_type"] = type(error).__name__
-        return self._telemetry(resp)
-
-    def _query(self, category: str, lo: tuple, hi: tuple) -> dict:
-        shard = self.shard
-        stats = shard.pager.stats
-        before = stats.snapshot()
-        t0 = perf_counter()
-        with stats.category(category):
-            matches = shard.index.range_search(Rect(lo, hi))
-        wall = perf_counter() - t0
-        shard.wall_clock_s += wall
-        shard.n_queries += 1
-        shard.result_count += len(matches)
-        return self._telemetry(
-            {
-                "ok": True,
-                "matches": matches,
-                "io": _io_deltas(before, stats.snapshot()),
-                "wall_s": wall,
-            }
-        )
-
-    def _stats(self) -> dict:
-        shard = self.shard
-        return self._telemetry(
-            {
-                "ok": True,
-                "tree": tree_stats(shard.index),
-                "lazy_hits": getattr(shard.index, "lazy_hits", 0) or 0,
-                "relocations": getattr(shard.index, "relocations", 0) or 0,
-                "pager": shard.pager.metrics_dict(),
-                "io": [],
-                "wall_s": 0.0,
-            }
-        )
-
-
 def _safe_execute(server: ShardServer, cmd: tuple) -> dict:
     try:
         return server.execute(cmd)
@@ -236,9 +108,8 @@ def _ready_response(shard: Shard, stats: IOStats, wall_s: float) -> dict:
     return {
         "ok": True,
         "ready": True,
-        "io": _io_deltas({}, stats.snapshot()),
+        "io": io_deltas({}, stats.snapshot()),
         "wall_s": wall_s,
-        "len": len(shard.index),
         "page_count": shard.pager.page_count,
     }
 
@@ -251,7 +122,6 @@ def _process_shard_main(
     region: Rect,
     options: IndexOptions,
     pool_frames: int,
-    page_size: int,
     category: str,
 ) -> None:
     """Child-process entry: build the shard, then serve commands forever.
@@ -287,7 +157,6 @@ def _process_shard_main(
                 options,
                 stats=stats,
                 pool_frames=pool_frames,
-                page_size=page_size,
             )
         send(_ready_response(shard, stats, perf_counter() - t0))
     except Exception as exc:
@@ -344,7 +213,6 @@ class ProcessWorker:
         options: IndexOptions,
         *,
         pool_frames: int = 0,
-        page_size: int = 4096,
         category: str = IOCategory.OTHER,
         ctx=None,
         transport: str = "auto",
@@ -382,7 +250,6 @@ class ProcessWorker:
                     region,
                     options,
                     pool_frames,
-                    page_size,
                     category,
                 ),
                 daemon=True,
@@ -491,7 +358,6 @@ class ThreadWorker:
         options: IndexOptions,
         *,
         pool_frames: int = 0,
-        page_size: int = 4096,
         category: str = IOCategory.OTHER,
     ) -> None:
         self.sid = sid
@@ -505,7 +371,6 @@ class ThreadWorker:
                 options,
                 stats=stats,
                 pool_frames=pool_frames,
-                page_size=page_size,
             )
         self._server = ShardServer(kind, self.shard)
         self._cmd: "queue.Queue[tuple]" = queue.Queue()
@@ -551,3 +416,112 @@ class ThreadWorker:
         if self._thread.is_alive():
             self._cmd.put(("shutdown",))
             self._thread.join(timeout=2.0)
+
+
+class PoolExecutor:
+    """The sharded router's worker-pool executor: one worker owns one shard.
+
+    ``dispatch`` submits one command per target shard, then awaits every
+    response, so independent shards proceed concurrently.  Responses from
+    shards that answered before a peer died are reconciled normally --
+    acknowledged work is never discarded -- and the dead shards come back
+    as ``failed`` for the router to fall back on.
+    """
+
+    #: Queue per shard; flush at cross-shard moves and at batch end.
+    flushes_every_op = False
+
+    def __init__(
+        self,
+        mode: str,
+        kind: str,
+        specs: Sequence[Tuple[int, Rect, IndexOptions]],
+        ledgers: Sequence[IOStats],
+        *,
+        pool_frames: int = 0,
+        category: str = IOCategory.OTHER,
+    ) -> None:
+        self.mode = mode
+        self._ledgers = ledgers
+        self._page_counts = [0] * len(specs)
+        self._workers: List[object] = []
+        worker_cls = ProcessWorker if mode == "process" else ThreadWorker
+        try:
+            for sid, region, options in specs:
+                self._workers.append(
+                    worker_cls(
+                        kind, sid, region, options,
+                        pool_frames=pool_frames, category=category,
+                    )
+                )
+            # Await the ready handshakes after every worker has started, so
+            # process-mode shard construction (CT qs-region mining included)
+            # runs concurrently across the pool.
+            for sid, worker in enumerate(self._workers):
+                resp = worker.result()
+                if not resp.get("ok"):
+                    raise WorkerFailure(
+                        f"shard {sid} worker failed to build: {resp.get('error')}"
+                    )
+                self._reconcile(sid, resp)
+        except BaseException:
+            self.close()
+            raise
+        #: Thread workers' shards are parent-resident (probes and the
+        #: verifier read them between dispatches); process shards are not.
+        self.shards: Optional[List[Shard]] = (
+            [worker.shard for worker in self._workers]
+            if mode == "thread"
+            else None
+        )
+
+    def _reconcile(self, sid: int, resp: dict) -> None:
+        ledger = self._ledgers[sid]
+        for cat, dr, dw in resp.get("io", ()):
+            ledger.charge(cat, dr, dw)
+        if "page_count" in resp:
+            self._page_counts[sid] = int(resp["page_count"])
+        wall = resp.get("wall_s", 0.0)
+        if wall:
+            registry = get_registry()
+            if registry.enabled:
+                registry.record_duration(f"parallel.worker{sid}.busy_s", wall)
+
+    def dispatch(
+        self, targets: Mapping[int, tuple]
+    ) -> Tuple[Dict[int, dict], List[int]]:
+        t0 = perf_counter()
+        submitted: List[int] = []
+        failed: List[int] = []
+        for sid, cmd in targets.items():
+            try:
+                self._workers[sid].submit(cmd)
+                submitted.append(sid)
+            except WorkerFailure:
+                failed.append(sid)
+        out: Dict[int, dict] = {}
+        for sid in submitted:
+            try:
+                resp = self._workers[sid].result()
+            except WorkerFailure:
+                failed.append(sid)
+                continue
+            self._reconcile(sid, resp)
+            out[sid] = resp
+        registry = get_registry()
+        if registry.enabled:
+            registry.observe("parallel.dispatch.latency_s", perf_counter() - t0)
+        return out, failed
+
+    def page_counts(self) -> List[int]:
+        """Each shard's page count as of its last response."""
+        return list(self._page_counts)
+
+    def close(self) -> None:
+        """Shut every worker down (best-effort, idempotent)."""
+        workers, self._workers = self._workers, []
+        for worker in workers:
+            try:
+                worker.close()
+            except Exception:
+                pass

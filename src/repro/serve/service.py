@@ -1,6 +1,6 @@
 """The engine service behind the daemon: one index, one writing actor.
 
-:class:`EngineService` wraps a registered index (or a sharded/parallel
+:class:`EngineService` wraps a registered index (or the sharded
 router) the same way :class:`~repro.workload.SimulationDriver` does for the
 batch path: it keeps the acknowledged-positions ledger, logs every write to
 the WAL *before* acknowledging it, charges I/O under the standard

@@ -31,6 +31,7 @@ from repro.core.ctrtree import CTNode, CTRTree
 from repro.core.geometry import Rect
 from repro.core.overflow import DataPage, NodeBuffer, QSEntry
 from repro.core.params import CTParams
+from repro.engine.sharded import Shard, ShardedIndex
 from repro.hashindex.hashindex import BucketPage, HashIndex
 from repro.lsm.run import Run
 from repro.lsm.tree import LSMConfig, LSMRTree
@@ -488,7 +489,7 @@ def _load_lsm_document(document: Dict) -> LSMRTree:
 # -- the sharded engine --------------------------------------------------------
 
 
-def _sharded_document(index) -> Dict:
+def _sharded_document(index: ShardedIndex) -> Dict:
     """One versioned document for a whole sharded engine.
 
     Embeds one per-shard sub-document (built by the inner kind's document
@@ -501,6 +502,10 @@ def _sharded_document(index) -> Dict:
         raise SnapshotError(
             f"sharded engine over kind {inner_kind!r} has no snapshot support"
         )
+    try:
+        shards = index.shards
+    except AttributeError as exc:
+        raise SnapshotError(f"cannot snapshot this engine: {exc}") from exc
     build = _DOCUMENT_BUILDERS[inner_kind]
     return {
         "version": FORMAT_VERSION,
@@ -513,32 +518,20 @@ def _sharded_document(index) -> Dict:
         "partition": index.partition.to_dict(),
         "owner": {str(oid): sid for oid, sid in index._owner.items()},
         "cross_shard_moves": index.cross_shard_moves,
-        "rebalances": getattr(index, "rebalances", 0),
+        "rebalances": index.rebalances,
         # The positions ledger (position + last timestamp per object):
         # restoring it keeps a post-load rebalance replay byte-identical
         # to one on the live engine.
         "positions": {
-            str(oid): [list(pos), t]
-            for oid, (pos, t) in getattr(index, "_positions", {}).items()
+            str(oid): [list(pos), t] for oid, (pos, t) in index._positions.items()
         },
-        "move_counts": {
-            str(oid): n
-            for oid, n in getattr(index, "_move_counts", {}).items()
-        },
-        "shards": [build(shard.index) for shard in index.shards],
+        "move_counts": {str(oid): n for oid, n in index._move_counts.items()},
+        "shards": [build(shard.index) for shard in shards],
     }
 
 
-def _load_sharded_document(document: Dict):
+def _load_sharded_document(document: Dict) -> ShardedIndex:
     from repro.engine.rebalance import partition_from_dict
-    from repro.engine.registry import get_spec
-    from repro.engine.sharded import (
-        Shard,
-        ShardedIndex,
-        ShardedStore,
-        ShardIOStats,
-    )
-    from repro.storage.iostats import IOStats
 
     inner_kind = document["inner_kind"]
     loader = _DOCUMENT_LOADERS.get(inner_kind)
@@ -548,62 +541,39 @@ def _load_sharded_document(document: Dict):
         partition = partition_from_dict(document["partition"])
     except (KeyError, ValueError) as exc:
         raise SnapshotError(f"bad partition document: {exc}") from exc
-    domain = partition.domain
-
-    index = ShardedIndex.__new__(ShardedIndex)
-    index.kind = inner_kind
-    index.domain = domain
-    index._spec = get_spec(inner_kind)
-    index.partition = partition
-    shared = IOStats()
-    index._stats = shared
-    index._owner = {int(oid): int(sid) for oid, sid in document["owner"].items()}
-    index.cross_shard_moves = int(document.get("cross_shard_moves", 0))
-    index.cross_shard_move_failures = 0
-    index.rebalances = int(document.get("rebalances", 0))
-    index._move_counts = {
-        int(oid): int(n)
-        for oid, n in document.get("move_counts", {}).items()
-    }
-    index._retired_results = []
-    index._rebalancer = None
-    # Shard-construction inputs a post-load rebalance rebuilds with
-    # (histories are not snapshotted; the shard contents already embody
-    # their effect).
-    index._histories = None
-    index._max_entries = 20
-    index._ct_params = None
-    index._query_rate = 50.0
-    index._adaptive = True
-    index._split = "quadratic"
-    index._pool_frames = 0
-    index._page_size = 4096
-    index.shards = []
+    shards = []
     for sid, sub_document in enumerate(document["shards"]):
         inner = loader(sub_document)
-        pager = inner.pager
-        # Re-parent the restored pager onto the engine's shared ledger so
-        # per-shard and merged accounting resume exactly like a fresh build.
-        pager.stats = ShardIOStats(shared)
-        index.shards.append(
+        shards.append(
             Shard(
                 sid=sid,
                 region=partition.region(sid),
-                pager=pager,
-                store=pager,
+                pager=inner.pager,
+                store=inner.pager,
                 index=inner,
             )
         )
-    if index.shards:
-        # Recover the construction knobs from the restored structures, so
-        # a post-load rebalance rebuilds shards with the same geometry the
-        # saved engine would have (byte-identical cutover replay).
-        first = index.shards[0].index
-        tree = getattr(first, "tree", first)
-        index._max_entries = getattr(tree, "max_entries", index._max_entries)
-        index._split = getattr(tree, "split_policy", index._split)
-        index._adaptive = getattr(first, "adaptive", index._adaptive)
-        index._ct_params = getattr(first, "params", None)
+    # Recover the construction knobs from the restored structures, so a
+    # post-load rebalance rebuilds shards with the same geometry the saved
+    # engine would have (byte-identical cutover replay).  Histories are not
+    # snapshotted: the shard contents already embody their effect.
+    first = shards[0].index
+    tree = getattr(first, "tree", first)
+    index = ShardedIndex(
+        inner_kind,
+        partition.domain,
+        partition=partition,
+        max_entries=getattr(tree, "max_entries", 20),
+        ct_params=getattr(first, "params", None),
+        adaptive=getattr(first, "adaptive", True),
+        shards=shards,
+    )
+    index._owner = {int(oid): int(sid) for oid, sid in document["owner"].items()}
+    index.cross_shard_moves = int(document.get("cross_shard_moves", 0))
+    index.rebalances = int(document.get("rebalances", 0))
+    index._move_counts = {
+        int(oid): int(n) for oid, n in document.get("move_counts", {}).items()
+    }
     positions_doc = document.get("positions")
     if positions_doc is not None:
         index._positions = {
@@ -611,10 +581,10 @@ def _load_sharded_document(document: Dict):
             for oid, entry in positions_doc.items()
         }
     else:
-        # Pre-v6 document: reconstruct the ledger (timestamps unknown)
-        # from shard residency so rebalancing still works after a load.
-        index._positions = {}
-        for shard in index.shards:
+        # A document older than the positions ledger: reconstruct it
+        # (timestamps unknown) from shard residency so rebalancing still
+        # works after a load.
+        for shard in shards:
             inner = shard.index
             objects = (
                 inner.iter_objects()
@@ -623,8 +593,6 @@ def _load_sharded_document(document: Dict):
             )
             for oid, pos in objects:
                 index._positions[oid] = (tuple(pos), None)
-    index._store = ShardedStore(index, shared)
-    index._page_size = index.shards[0].pager.page_size if index.shards else 4096
     return index
 
 
@@ -671,7 +639,7 @@ def index_kind_of(index) -> str:
         return "lazy"
     if isinstance(index, RTree):
         return "rtree"
-    if hasattr(index, "shards") and hasattr(index, "partition"):
+    if isinstance(index, ShardedIndex):
         return "sharded"
     raise SnapshotError(f"cannot snapshot index type {type(index).__name__}")
 

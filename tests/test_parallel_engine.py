@@ -1,8 +1,8 @@
-"""ParallelShardedIndex parity: worker pools change *where* work runs,
-never what happens or what gets charged.
+"""Shard-executor parity: worker pools change *where* work runs, never
+what happens or what gets charged.
 
 Every test replays one deterministic workload against the inline
-:class:`ShardedIndex` and the parallel engine (both modes) and compares
+:class:`ShardedIndex` and the same router on a worker pool (both modes) and compares
 observable state: I/O ledgers per category, query result sequences, move
 counters, object counts, per-shard run ledgers.
 """
@@ -17,7 +17,6 @@ import pytest
 from repro.core.geometry import Rect
 from repro.engine import IndexKind, ShardedIndex
 from repro.engine.buffer import PendingUpdate
-from repro.parallel import ParallelShardedIndex
 
 DOMAIN = Rect((0.0, 0.0), (100.0, 100.0))
 N_SHARDS = 4
@@ -90,7 +89,7 @@ def inline_run():
 @pytest.mark.parametrize("mode", MODES)
 def test_parallel_matches_inline_exactly(mode, inline_run):
     ops, pos, inline, inline_results = inline_run
-    with ParallelShardedIndex(
+    with ShardedIndex(
         IndexKind.LAZY, DOMAIN, N_SHARDS, mode=mode, query_rate=1.0
     ) as par:
         par_results = _replay(par, ops)
@@ -144,7 +143,7 @@ def test_batched_dispatch_matches_inline(mode):
                 inline.update(u.oid, u.old_point, u.point, now=u.t)
             inline_applied += 1
 
-    with ParallelShardedIndex(
+    with ShardedIndex(
         IndexKind.LAZY, DOMAIN, N_SHARDS, mode=mode, query_rate=1.0
     ) as par:
         par_applied = sum(par.apply_batch(batch) for batch in batches)
@@ -167,7 +166,7 @@ def test_per_shard_wall_clocks_are_positive(mode):
     """The satellite fix: per-shard RunResult.wall_clock_s must be real
     measured time, not the 0.0 the sharded runs used to report."""
     ops = _script()[0]
-    with ParallelShardedIndex(
+    with ShardedIndex(
         IndexKind.LAZY, DOMAIN, N_SHARDS, mode=mode, query_rate=1.0
     ) as par:
         _replay(par, ops)
@@ -188,8 +187,8 @@ def test_inline_shard_wall_clocks_are_positive():
 
 @pytest.mark.parametrize("mode", MODES)
 def test_store_surface(mode):
-    """The ParallelStore facade feeds the driver/CLI telemetry paths."""
-    with ParallelShardedIndex(
+    """The ShardedStore facade feeds the driver/CLI telemetry paths."""
+    with ShardedIndex(
         IndexKind.LAZY, DOMAIN, N_SHARDS, mode=mode, query_rate=1.0
     ) as par:
         par.insert(1, (10.0, 10.0), now=1.0)
@@ -209,4 +208,4 @@ def test_store_surface(mode):
 
 def test_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        ParallelShardedIndex(IndexKind.LAZY, DOMAIN, 2, mode="fiber")
+        ShardedIndex(IndexKind.LAZY, DOMAIN, 2, mode="fiber")

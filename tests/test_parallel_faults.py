@@ -1,5 +1,5 @@
-"""Worker-failure injection: a dead shard worker degrades the parallel
-engine to inline execution without losing acknowledged state.
+"""Worker-failure injection: a dead shard worker swaps the router's pool
+executor for an inline one without losing acknowledged state.
 
 The ``("crash",)`` fault hook makes a worker die without responding --
 exactly the signature of a killed process.  After the fallback the engine
@@ -14,11 +14,10 @@ import random
 import pytest
 
 from repro.core.geometry import Rect
-from repro.engine import IndexKind
+from repro.engine import IndexKind, ShardedIndex
 from repro.engine.buffer import PendingUpdate
 from repro.health import verify_index
 from repro.obs import get_registry, set_enabled
-from repro.parallel import ParallelShardedIndex
 
 from .conftest import brute_force_range
 
@@ -38,7 +37,7 @@ def _populate(par, n=60, seed=3):
 
 
 def _crash(par, sid):
-    par._workers[sid].submit(("crash",))
+    par._executor._workers[sid].submit(("crash",))
 
 
 def _assert_degraded_and_consistent(par, positions):
@@ -60,14 +59,14 @@ def _assert_degraded_and_consistent(par, positions):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_crash_during_single_op_falls_back(mode):
-    with ParallelShardedIndex(
+    with ShardedIndex(
         IndexKind.LAZY, DOMAIN, N_SHARDS, mode=mode, query_rate=1.0
     ) as par:
         positions, rng = _populate(par)
         _crash(par, 0)
         # The next op that touches the dead worker triggers the fallback;
         # the op itself must still be applied (inline).
-        victim = next(oid for oid, sid in par._owners.items() if sid == 0)
+        victim = next(oid for oid, sid in par._owner.items() if sid == 0)
         new_point = (rng.uniform(0, 100), rng.uniform(0, 100))
         par.update(victim, positions[victim], new_point, now=2000.0)
         positions[victim] = new_point
@@ -76,7 +75,7 @@ def test_crash_during_single_op_falls_back(mode):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_crash_mid_batch_applies_full_batch(mode):
-    with ParallelShardedIndex(
+    with ShardedIndex(
         IndexKind.LAZY, DOMAIN, N_SHARDS, mode=mode, query_rate=1.0
     ) as par:
         positions, rng = _populate(par)
@@ -97,7 +96,7 @@ def test_crash_mid_batch_applies_full_batch(mode):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_crash_during_query_falls_back(mode):
-    with ParallelShardedIndex(
+    with ShardedIndex(
         IndexKind.LAZY, DOMAIN, N_SHARDS, mode=mode, query_rate=1.0
     ) as par:
         positions, _ = _populate(par)
@@ -113,7 +112,7 @@ def test_failure_counters_are_tagged(mode):
     registry = set_enabled(True)
     registry.reset()
     try:
-        with ParallelShardedIndex(
+        with ShardedIndex(
             IndexKind.LAZY, DOMAIN, N_SHARDS, mode=mode, query_rate=1.0
         ) as par:
             positions, _ = _populate(par, n=20)
@@ -129,7 +128,7 @@ def test_failure_counters_are_tagged(mode):
 @pytest.mark.parametrize("mode", MODES)
 def test_only_one_fallback_ever(mode):
     """Repeated trouble after the cutover must not stack fallbacks."""
-    with ParallelShardedIndex(
+    with ShardedIndex(
         IndexKind.LAZY, DOMAIN, N_SHARDS, mode=mode, query_rate=1.0
     ) as par:
         positions, rng = _populate(par, n=24)

@@ -30,7 +30,7 @@ from repro.engine import (
 )
 from repro.engine.rebalance import object_speeds
 from repro.health import verify_index
-from repro.parallel import ParallelShardedIndex, WorkerFailure
+from repro.parallel import PoolExecutor, WorkerFailure
 from repro.storage.iostats import IOCategory
 from repro.storage.snapshot import build_document, load_index, save_index
 
@@ -644,7 +644,7 @@ class TestApplyPartitionParallel:
     def test_thread_cutover_matches_inline(self):
         positions = _clustered_positions()
         inline = ShardedIndex(IndexKind.LAZY, DOMAIN, 4, max_entries=8)
-        par = ParallelShardedIndex(
+        par = ShardedIndex(
             IndexKind.LAZY, DOMAIN, 4, mode="thread", max_entries=8
         )
         try:
@@ -670,17 +670,17 @@ class TestApplyPartitionParallel:
 
     def test_worker_failure_during_cutover_falls_back(self, monkeypatch):
         positions = _clustered_positions()
-        par = ParallelShardedIndex(
+        par = ShardedIndex(
             IndexKind.LAZY, DOMAIN, 4, mode="thread", max_entries=8
         )
         try:
             _populate(par, positions)
             plan = BoundaryPartition.from_points(DOMAIN, 4, positions.values())
 
-            def boom(targets):
+            def boom(self, targets):
                 raise WorkerFailure("injected rebalance failure")
 
-            monkeypatch.setattr(par, "_dispatch", boom)
+            monkeypatch.setattr(PoolExecutor, "dispatch", boom)
             par.apply_partition(plan)
             # The cutover still completed -- inline, under the new partition.
             assert par.engine_dict()["parallel"]["fell_back"] is True
@@ -698,7 +698,7 @@ class TestApplyPartitionParallel:
         rb = ShardRebalancer(
             RebalancePolicy(check_every=64, min_window_ios=32, hot_factor=1.8)
         )
-        par = ParallelShardedIndex(
+        par = ShardedIndex(
             IndexKind.LAZY, DOMAIN, 4, mode="thread", max_entries=8,
             rebalancer=rb,
         )

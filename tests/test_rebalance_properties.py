@@ -23,7 +23,6 @@ from repro.engine import (
     SpeedPartition,
 )
 from repro.health import verify_index
-from repro.parallel import ParallelShardedIndex
 from repro.storage.iostats import IOCategory
 
 DOMAIN = Rect((0.0, 0.0), (100.0, 100.0))
@@ -182,7 +181,7 @@ def test_midrun_rebalance_keeps_inline_parallel_parity(ops, boundaries, cut):
     engine's, object for object and category for category."""
     rebalance_at = min(cut, len(ops) - 1)
     inline = ShardedIndex(IndexKind.LAZY, DOMAIN, 4, max_entries=8)
-    par = ParallelShardedIndex(
+    par = ShardedIndex(
         IndexKind.LAZY, DOMAIN, 4, mode="thread", max_entries=8
     )
     try:

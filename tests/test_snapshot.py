@@ -155,3 +155,38 @@ class TestFormatValidation:
         text = path.read_text()
         json.loads(text)  # valid JSON
         assert "__" not in text  # no dunder / code smuggling
+
+
+class TestShardedSnapshot:
+    def build(self, rng, kind):
+        from repro.engine import ShardedIndex
+
+        index = ShardedIndex(kind, DOMAIN, 4, max_entries=6)
+        points = random_points(rng, 120)
+        for oid, point in points.items():
+            index.insert(oid, point, now=0.0)
+        for oid in list(points)[::3]:
+            new = (rng.uniform(0, 1000), rng.uniform(0, 1000))
+            index.update(oid, points[oid], new, now=1.0)
+            points[oid] = new
+        index.range_search(random_query(rng))
+        return index
+
+    @pytest.mark.parametrize("kind", ["lazy", "rtree"])
+    def test_loaded_engine_dict_equals_live(self, rng, tmp_path, kind):
+        """The loader goes through the constructor: every router field a
+        live engine reports comes back, run ledgers aside."""
+        index = self.build(rng, kind)
+        assert index.cross_shard_moves > 0
+        loaded = load_index(save_index(index, tmp_path / "sharded.json"))
+
+        def without_runs(engine):
+            doc = engine.engine_dict()
+            for shard in doc["shards"]:
+                del shard["run"]
+            return doc
+
+        assert without_runs(loaded) == without_runs(index)
+        assert loaded.position_map() == index.position_map()
+        assert loaded.cross_move_counts() == index.cross_move_counts()
+        assert loaded.pager.stats.total() == 0

@@ -23,9 +23,8 @@ import random
 import pytest
 
 from repro.core.geometry import Rect
-from repro.engine import IndexKind
+from repro.engine import IndexKind, ShardedIndex
 from repro.engine.registry import IndexOptions, make_index
-from repro.parallel import ParallelShardedIndex
 from repro.parallel.shm import shm_available
 from repro.parallel.workers import ProcessWorker, WorkerFailure
 from repro.rtree.node import default_layout, set_default_layout
@@ -152,7 +151,7 @@ def _ledger_bytes(ledger) -> bytes:
 def _run_parallel(layout, ops, mode, **kwargs):
     prev = set_default_layout(layout)
     try:
-        index = ParallelShardedIndex(
+        index = ShardedIndex(
             IndexKind.LAZY, DOMAIN, 2, mode=mode, max_entries=5, **kwargs
         )
         try:
