@@ -57,7 +57,6 @@ from repro.durability import (
     append_torn_frame,
     recover,
     scan_directory,
-    wal_directories,
 )
 from repro.resilience import (
     BreakerOpen,
@@ -420,12 +419,9 @@ def _scan_duplicate_stamps(wal_dir: Path) -> Dict[str, List[int]]:
     here is a real double-apply.
     """
     seen: Dict[Tuple[str, int], set] = {}
-    for sub in wal_directories(wal_dir):
-        for record in scan_directory(sub).records:
-            if record.op in WalOp.DATA and record.client is not None:
-                seen.setdefault((record.client, record.rid), set()).add(
-                    record.seq
-                )
+    for record in scan_directory(wal_dir).records:
+        if record.op in WalOp.DATA and record.client is not None:
+            seen.setdefault((record.client, record.rid), set()).add(record.seq)
     return {
         f"{client}:{rid}": sorted(seqs)
         for (client, rid), seqs in seen.items()

@@ -125,8 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--wal-dir", metavar="DIR", default=None,
                          help="write-ahead-log every update before applying it; "
                               "each index gets DIR/<kind>/ with its own WAL "
-                              "segments and checkpoints (sharded runs log "
-                              "per shard under DIR/<kind>/shard-NN/)")
+                              "segments and checkpoints, sharded or not")
     compare.add_argument("--sync-policy", default="group:8",
                          metavar="always|group:N|onflush",
                          help="WAL sync policy: fsync every append, group-"
@@ -167,8 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="enable online shard rebalancing: hot shards "
                               "are detected from per-shard I/O ledgers and "
                               "the partition is re-cut with an atomic "
-                              "cutover (needs --shards or --parallel; not "
-                              "with --wal-dir)")
+                              "cutover (needs --shards or --parallel)")
     compare.add_argument("--lsm-memtable", type=int, default=None, metavar="N",
                          help="LSM-R-tree: flush the memtable every N distinct "
                               "objects (default: 256)")
@@ -490,11 +488,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if (partitioner != "grid" or rebalance) and not (sharded or parallel):
         print("--partitioner/--rebalance need --shards N or --parallel "
               "(they configure the shard router)", file=sys.stderr)
-        return 1
-    if rebalance and walled:
-        print("--rebalance does not compose with --wal-dir (the per-shard "
-              "WAL map is fixed when durability attaches; rebalancing "
-              "re-cuts it mid-run)", file=sys.stderr)
         return 1
     n_workers = 0
     if parallel:

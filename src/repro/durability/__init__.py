@@ -11,11 +11,11 @@ this package closes the loop:
   rename) embedding the generic snapshot document plus the WAL sequence
   they cover, with retention and segment truncation;
 * :mod:`repro.durability.recovery` -- ``recover(dir)``: newest valid
-  checkpoint + merged seq-ordered WAL replay, tolerant of torn tails, with
-  a :class:`RecoveryReport` audit trail;
+  checkpoint + seq-ordered WAL replay, tolerant of torn tails, with a
+  :class:`RecoveryReport` audit trail;
 * :mod:`repro.durability.manager` -- the :class:`DurabilityManager` the
-  driver/CLI hold (per-shard logs for the sharded engine, automatic
-  checkpoint cadence);
+  driver/CLI hold (one log per directory, sharded engine or not;
+  automatic checkpoint cadence);
 * :mod:`repro.durability.faults` -- deterministic fault injection (crash at
   the Nth write, torn tails, CRC corruption, lost segments) for the
   recovery test suite.
@@ -48,7 +48,6 @@ from repro.durability.recovery import (
     RecoveryError,
     RecoveryReport,
     recover,
-    wal_directories,
 )
 from repro.durability.wal import (
     SyncPolicy,
@@ -84,7 +83,6 @@ __all__ = [
     "RecoveryError",
     "RecoveryReport",
     "recover",
-    "wal_directories",
     "SyncPolicy",
     "WalOp",
     "WalRecord",

@@ -1,13 +1,12 @@
-"""The durability manager: one WAL-per-index (or per shard) + checkpoints.
+"""The durability manager: one WAL + checkpoints per directory.
 
 The :class:`DurabilityManager` is the single object the driver, the update
 buffer and the CLI hold.  It owns:
 
-* the write-ahead log(s) -- a flat segment directory for a single index,
-  or one ``shard-NN/`` log per shard of a
-  :class:`~repro.engine.sharded.ShardedIndex`, stamped from one **global**
-  sequence so recovery's merged replay is totally ordered (the same
-  merged-ledger idea the engine uses for per-shard I/O accounting);
+* the write-ahead log -- one flat segment directory whatever index it is
+  attached to: a :class:`~repro.engine.sharded.ShardedIndex` logs exactly
+  like a single index, and replay re-routes each record through the
+  restored router;
 * checkpointing -- atomic snapshots via the generic kind-tag dispatch,
   recording the covered WAL sequence, retiring obsolete segments, and
   (optionally) firing automatically every ``checkpoint_every`` applied
@@ -32,9 +31,8 @@ from repro.durability.checkpoint import (
     read_checkpoint_info,
     write_checkpoint,
 )
-from repro.durability.recovery import SHARD_DIR_PREFIX
+from repro.durability.recovery import reject_per_shard_layout
 from repro.durability.wal import SyncPolicy, WalOp, WalStats, WriteAheadLog
-from repro.engine.sharded import ShardedIndex
 
 
 def _position(point: Optional[Sequence[float]]) -> Optional[Tuple[float, ...]]:
@@ -77,8 +75,7 @@ class DurabilityManager:
         self._fault = fault
         self._index = None
         self._kind: Optional[str] = None
-        self._wals: Dict[int, WriteAheadLog] = {}
-        self._router = None  # SpacePartition of a sharded index
+        self._wal: Optional[WriteAheadLog] = None
         self._seq = 0
         self._applied_since_checkpoint = 0
         self.last_checkpoint: Optional[CheckpointInfo] = None
@@ -92,25 +89,24 @@ class DurabilityManager:
     # -- attachment ------------------------------------------------------
 
     def attach(self, index, *, kind: Optional[str] = None) -> "DurabilityManager":
-        """Bind to ``index``; a sharded engine gets one log per shard."""
-        if self._wals:
+        """Bind to ``index`` and open the directory's one log."""
+        if self._wal is not None:
             raise RuntimeError("DurabilityManager is already attached")
+        reject_per_shard_layout(self.directory)
         self._index = index
         self._kind = kind
-        if isinstance(index, ShardedIndex):
-            self._router = index.partition
-            for sid in range(index.partition.n_shards):
-                self._wals[sid] = self._open_wal(
-                    self.directory / f"{SHARD_DIR_PREFIX}{sid:02d}"
-                )
-        else:
-            self._wals[0] = self._open_wal(self.directory)
-        # Continue the global sequence past anything already on disk --
+        self._wal = WriteAheadLog(
+            self.directory,
+            sync=self.sync_policy,
+            segment_bytes=self.segment_bytes,
+            fault=self._fault,
+        )
+        # Continue the sequence past anything already on disk --
         # including the newest checkpoint's covered seq: with every covered
-        # segment truncated, the WALs alone would restart numbering inside
+        # segment truncated, the WAL alone would restart numbering inside
         # the covered range and recovery would skip the new records as
         # already applied.
-        self._seq = max(wal.last_seq for wal in self._wals.values())
+        self._seq = self._wal.last_seq
         for _ordinal, path in reversed(list_checkpoints(self.directory)):
             try:
                 info = read_checkpoint_info(path)
@@ -120,32 +116,19 @@ class DurabilityManager:
             break
         return self
 
-    def _open_wal(self, directory: Path) -> WriteAheadLog:
-        return WriteAheadLog(
-            directory,
-            sync=self.sync_policy,
-            segment_bytes=self.segment_bytes,
-            fault=self._fault,
-        )
-
     @property
     def attached(self) -> bool:
-        return bool(self._wals)
+        return self._wal is not None
 
     @property
     def last_seq(self) -> int:
         return self._seq
 
-    def _wal_for(self, point: Optional[Sequence[float]]) -> WriteAheadLog:
-        if not self._wals:
+    def _append(self, op: str, **fields) -> int:
+        if self._wal is None:
             raise RuntimeError("DurabilityManager.attach was never called")
-        if self._router is None or point is None:
-            return next(iter(self._wals.values()))
-        return self._wals[self._router.shard_of(point)]
-
-    def _next_seq(self) -> int:
         self._seq += 1
-        return self._seq
+        return self._wal.append(op, seq=self._seq, **fields)
 
     # -- the UpdateLog surface (what the buffer and driver call) ---------
 
@@ -158,9 +141,9 @@ class DurabilityManager:
         client: Optional[str] = None,
         rid: Optional[int] = None,
     ) -> int:
-        return self._wal_for(point).append(
+        return self._append(
             WalOp.INSERT, oid=oid, point=_position(point), t=t,
-            seq=self._next_seq(), client=client, rid=rid,
+            client=client, rid=rid,
         )
 
     def log_update(
@@ -173,26 +156,21 @@ class DurabilityManager:
         client: Optional[str] = None,
         rid: Optional[int] = None,
     ) -> int:
-        # Routed by the *new* position: replay goes through the router,
-        # which re-derives any cross-shard move from its restored owner map.
-        return self._wal_for(point).append(
+        return self._append(
             WalOp.UPDATE, oid=oid, point=_position(point),
-            old_point=_position(old_point), t=t, seq=self._next_seq(),
-            client=client, rid=rid,
+            old_point=_position(old_point), t=t, client=client, rid=rid,
         )
 
     def log_delete(
         self, oid: int, old_point: Optional[Sequence[float]], t: Optional[float]
     ) -> int:
-        return self._wal_for(old_point).append(
-            WalOp.DELETE, oid=oid, old_point=_position(old_point), t=t,
-            seq=self._next_seq(),
+        return self._append(
+            WalOp.DELETE, oid=oid, old_point=_position(old_point), t=t
         )
 
     def log_flush(self) -> None:
         """Mark a buffer drain; ``onflush`` syncs commit here."""
-        for wal in self._wals.values():
-            wal.append(WalOp.FLUSH, seq=self._next_seq())
+        self._append(WalOp.FLUSH)
 
     # -- checkpointing ---------------------------------------------------
 
@@ -235,10 +213,9 @@ class DurabilityManager:
         )
         # The marker makes the checkpoint visible in the log itself; the
         # truncation pass then drops every segment the snapshot covers.
-        for wal in self._wals.values():
-            wal.append(WalOp.CHECKPOINT, seq=self._next_seq())
-            wal.sync()
-            wal.truncate_covered(covered)
+        self._append(WalOp.CHECKPOINT)
+        self._wal.sync()
+        self._wal.truncate_covered(covered)
         self.last_checkpoint = info
         self.checkpoints_taken += 1
         self._applied_since_checkpoint = 0
@@ -248,10 +225,7 @@ class DurabilityManager:
 
     @property
     def stats(self) -> WalStats:
-        merged = WalStats()
-        for wal in self._wals.values():
-            merged = merged.merge(wal.stats)
-        return merged
+        return WalStats() if self._wal is None else self._wal.stats
 
     def metrics_dict(self) -> Dict[str, object]:
         return {
@@ -264,14 +238,11 @@ class DurabilityManager:
                 self.last_checkpoint.covered_seq if self.last_checkpoint else 0
             ),
             "wal": self.stats.to_dict(),
-            "shards": (
-                None if self._router is None else self._router.n_shards
-            ),
         }
 
     def close(self) -> None:
-        for wal in self._wals.values():
-            wal.close()
+        if self._wal is not None:
+            self._wal.close()
 
     def __enter__(self) -> "DurabilityManager":
         return self

@@ -3,16 +3,16 @@
 ``recover(dir)`` rebuilds the index a crashed process would have served:
 
 1. load the newest *valid* checkpoint (damaged ones fall back to older);
-2. scan every WAL segment -- flat layout for a single index, one
-   ``shard-NN/`` log directory per shard for the sharded engine -- and
-   merge the records into one ledger ordered by the global sequence number
-   (the sharded engine's per-shard logs interleave exactly like its
-   per-shard I/O ledgers merge into one ``RunResult``);
+2. scan the directory's one WAL -- the same flat segment layout whether
+   it logged a single index or a sharded engine -- into a ledger ordered
+   by sequence number;
 3. replay every data record past the checkpoint's ``covered_seq`` through
-   the index, in ``(t, seq)`` order (seq order *is* timestamp order: the
-   driver logs in stream order), stopping at the first sequence gap -- a
-   torn final record, a corrupted record, or a missing segment all surface
-   as a gap, so nothing past a hole is ever applied out of order;
+   the index (a sharded engine's restored router re-derives every
+   cross-shard move from its owner map), in ``(t, seq)`` order (seq order
+   *is* timestamp order: the driver logs in stream order), stopping at
+   the first sequence gap -- a torn final record, a corrupted record, or
+   a missing segment all surface as a gap, so nothing past a hole is
+   ever applied out of order;
 4. optionally repair the directory: trim damaged tails to their valid
    prefix, drop records beyond the gap (they are unreachable forever),
    delete segments wholly covered by the checkpoint, and remove stale
@@ -35,7 +35,6 @@ from repro.durability.checkpoint import (
     load_latest_checkpoint,
 )
 from repro.durability.wal import (
-    DirectoryScan,
     WalOp,
     WalRecord,
     list_segments,
@@ -43,9 +42,6 @@ from repro.durability.wal import (
     scan_segment,
 )
 from repro.obs.metrics import get_registry
-
-#: Per-shard WAL directories inside a sharded durability directory.
-SHARD_DIR_PREFIX = "shard-"
 
 
 class RecoveryError(RuntimeError):
@@ -105,16 +101,20 @@ class RecoveryReport:
         }
 
 
-def wal_directories(directory: Union[str, Path]) -> List[Path]:
-    """The log directories under ``directory``: its ``shard-NN/`` children
-    for a sharded layout, else the directory itself."""
-    directory = Path(directory)
-    shard_dirs = sorted(
-        child
-        for child in directory.iterdir()
-        if child.is_dir() and child.name.startswith(SHARD_DIR_PREFIX)
-    )
-    return shard_dirs if shard_dirs else [directory]
+def reject_per_shard_layout(directory: Path) -> None:
+    """Refuse a directory written by the retired one-log-per-shard layout.
+
+    Its acked records sit in ``shard-<id>/`` subdirectories that neither
+    recovery nor a new writer reads: replay would silently return the
+    bare checkpoint.
+    """
+    for child in sorted(directory.iterdir()):
+        if child.name.startswith("shard-") and list_segments(child):
+            raise RecoveryError(
+                f"{directory} keeps WAL segments under {child.name}/: the "
+                "retired one-log-per-shard layout, which this release "
+                "cannot replay"
+            )
 
 
 def _apply_record(index, kind: str, record: WalRecord) -> None:
@@ -160,7 +160,7 @@ def recover(
 
     Args:
         directory: the durability directory (checkpoints at the top level,
-            WAL segments flat or under ``shard-NN/``).
+            WAL segments beside them).
         index_factory: zero-argument callable building the empty index when
             no valid checkpoint exists (a WAL-only recovery); without it,
             a checkpointless directory raises :class:`RecoveryError`.
@@ -176,6 +176,7 @@ def recover(
     directory = Path(directory)
     if not directory.is_dir():
         raise RecoveryError(f"no such durability directory: {directory}")
+    reject_per_shard_layout(directory)
     t0 = perf_counter()
     report = RecoveryReport()
 
@@ -201,17 +202,11 @@ def recover(
             "was supplied"
         )
 
-    # Merge every log directory into one seq-ordered ledger.
-    scans: List[Tuple[Path, DirectoryScan]] = [
-        (wal_dir, scan_directory(wal_dir)) for wal_dir in wal_directories(directory)
-    ]
-    records: List[WalRecord] = []
-    for _wal_dir, scan in scans:
-        records.extend(scan.records)
-        report.torn_tail = report.torn_tail or scan.torn_tail
-        report.corrupt_segments += scan.corrupt_segments
-        report.missing_segments.extend(scan.missing_segments)
-    records.sort(key=lambda r: r.seq)
+    scan = scan_directory(directory)
+    records = sorted(scan.records, key=lambda r: r.seq)
+    report.torn_tail = scan.torn_tail
+    report.corrupt_segments = scan.corrupt_segments
+    report.missing_segments = scan.missing_segments
 
     covered = report.checkpoint_seq
     expected = covered + 1
@@ -244,10 +239,9 @@ def recover(
 
     if repair:
         report.tmp_files_removed = clean_stale_tmp(directory)
-        for wal_dir, _scan in scans:
-            report.segments_truncated += _repair_wal_dir(
-                wal_dir, covered_seq=covered, last_good_seq=last_good
-            )
+        report.segments_truncated = _repair_wal_dir(
+            directory, covered_seq=covered, last_good_seq=last_good
+        )
 
     if verify:
         # Function-level import: durability must stay importable without

@@ -181,14 +181,6 @@ class WalStats:
     bytes_written: int = 0
     rotations: int = 0
 
-    def merge(self, other: "WalStats") -> "WalStats":
-        return WalStats(
-            self.appends + other.appends,
-            self.fsyncs + other.fsyncs,
-            self.bytes_written + other.bytes_written,
-            self.rotations + other.rotations,
-        )
-
     def to_dict(self) -> Dict[str, int]:
         return {
             "appends": self.appends,

@@ -73,9 +73,9 @@ class SimulationDriver:
         #: group-apply on flush (size/time policy, and always before a query).
         self.update_buffer = update_buffer
         #: Durability: a :class:`~repro.durability.DurabilityManager`; the
-        #: driver attaches it to the index (per-shard WALs for a sharded
-        #: engine) and hands it to the buffer so logging precedes
-        #: acknowledgement on both execution paths.
+        #: driver attaches it to the index (one WAL, sharded engine or not)
+        #: and hands it to the buffer so logging precedes acknowledgement
+        #: on both execution paths.
         self.durability = durability
         if durability is not None:
             if not durability.attached:

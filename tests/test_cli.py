@@ -203,6 +203,28 @@ class TestDurabilityCli:
 
         assert len(load_index(snapshot)) > 0
 
+    def test_rebalanced_sharded_compare_logs_and_recovers(
+        self, trace_file, tmp_path, capsys
+    ):
+        import json
+
+        wal_dir = tmp_path / "wal"
+        out = tmp_path / "m.json"
+        code = main([
+            "compare", str(trace_file), "--history", "30", "--ratio", "20",
+            "--index", "lazy", "--shards", "4", "--rebalance",
+            "--wal-dir", str(wal_dir), "--metrics-out", str(out),
+        ])
+        assert code == 0
+        live = json.loads(out.read_text())["indexes"]["lazy"]["tree_stats"]
+        capsys.readouterr()
+        code = main(["recover", str(wal_dir / "lazy")])
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "kind sharded" in printed
+        assert "verify:         ok" in printed
+        assert f"objects:        {live['size']}\n" in printed
+
     def test_recover_without_state_fails_cleanly(self, tmp_path, capsys):
         empty = tmp_path / "nothing"
         empty.mkdir()

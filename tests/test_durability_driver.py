@@ -6,7 +6,7 @@ import pytest
 
 from repro.citysim.trace import TraceRecord
 from repro.core.geometry import Rect
-from repro.durability import DurabilityManager, recover
+from repro.durability import DurabilityManager, list_segments, recover
 from repro.engine import FlushPolicy, ShardedIndex, UpdateBuffer
 from repro.storage.pager import Pager
 from repro.workload.driver import IndexKind, SimulationDriver, make_index
@@ -87,7 +87,7 @@ class TestDriverDurability:
         assert report.records_replayed == 6
         assert range_snapshot(recovered) == range_snapshot(index)
 
-    def test_sharded_driver_gets_per_shard_wals(self, tmp_path):
+    def test_sharded_driver_logs_to_one_wal(self, tmp_path):
         positions, updates, queries = make_workload()
         index = ShardedIndex(IndexKind.LAZY, DOMAIN, 4)
         durability = DurabilityManager(tmp_path, sync="always")
@@ -96,8 +96,8 @@ class TestDriverDurability:
         )
         driver.load(positions, now=0.0)
         driver.run(updates, queries)
-        shard_dirs = sorted(p.name for p in tmp_path.iterdir() if p.is_dir())
-        assert shard_dirs == [f"shard-{i:02d}" for i in range(4)]
+        assert not [p for p in tmp_path.iterdir() if p.is_dir()]
+        assert list_segments(tmp_path)
         recovered, report = recover(tmp_path)
         assert report.kind == "sharded"
         assert report.records_replayed == len(updates)
