@@ -18,8 +18,8 @@ PR 7 adds two sections:
   vectorized-scale node sizes.  Results are asserted identical per query
   before anything is timed.
 * **dispatch RTT** (:func:`run_dispatch_bench`): per-``("ping", token)``
-  round-trip through real shard workers in thread mode, process mode over
-  the pipe transport, and process mode over the shared-memory mailbox.
+  round-trip through real shard worker processes, over the pipe transport
+  and over the shared-memory mailbox.
 
 Importable: :func:`run_geometry_bench` & co. return the result dicts that
 ``bench_regression.py`` embeds under the ``geometry`` / ``soa`` keys of
@@ -340,7 +340,7 @@ def run_scan_crossover_sweep(
     return out
 
 
-# -- PR 7: worker dispatch round-trip (thread / pipe / shm) ----------------
+# -- PR 7: worker dispatch round-trip (pipe / shm) --------------------------
 
 
 def run_dispatch_bench(n_pings: int = 200, warmup: int = 20) -> Dict[str, object]:
@@ -354,7 +354,7 @@ def run_dispatch_bench(n_pings: int = 200, warmup: int = 20) -> Dict[str, object
 
     from repro.engine.registry import IndexOptions
     from repro.parallel.shm import shm_available
-    from repro.parallel.workers import ProcessWorker, ThreadWorker
+    from repro.parallel.workers import ProcessWorker
 
     region = Rect((0.0, 0.0), (DOMAIN, DOMAIN))
     options = IndexOptions(max_entries=20)
@@ -382,9 +382,6 @@ def run_dispatch_bench(n_pings: int = 200, warmup: int = 20) -> Dict[str, object
             worker.close()
 
     out: Dict[str, object] = {"n_pings": n_pings, "modes": {}}
-    out["modes"]["thread"] = time_worker(
-        ThreadWorker("rtree", 0, region, options)
-    )
     out["modes"]["process_pipe"] = time_worker(
         ProcessWorker("rtree", 0, region, options, transport="pipe")
     )

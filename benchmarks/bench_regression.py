@@ -80,7 +80,7 @@ writes ``BENCH_driver.json`` in a stable schema:
 * ``soa``: the struct-of-arrays node layout (PR 7) -- whole-node
   intersect-all / choose-subtree scans, SoA vs object layout, at fanout
   and vectorized node sizes (CI gates >=3x at the large size); per-ping
-  worker dispatch RTT for thread / process-pipe / process-shared-memory
+  worker dispatch RTT for process-pipe / process-shared-memory
   transports (CI gates shm < pipe); and a dual-layout parity replay of
   the lazy workload (identical I/O ledgers and byte-identical snapshot
   documents, enforced unconditionally).
@@ -244,14 +244,14 @@ def time_ct_build(bundle):
     return perf_counter() - t0, report
 
 
-def run_parallel_sharded(bundle, workers, *, mode="process"):
+def run_parallel_sharded(bundle, workers):
     """The lazy workload over the worker-pool router at ``workers`` workers
     (== shards), updates batched so dispatch amortizes the IPC round-trip."""
     index = ShardedIndex(
         IndexKind.LAZY,
         bundle.domain,
         workers,
-        mode=mode,
+        mode="process",
         query_rate=bundle.scale.base_update_rate / 100.0,
     )
     try:

@@ -143,30 +143,23 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--drift-window", type=int, default=200, metavar="N",
                          help="updates per drift-monitor window when "
                               "--self-heal is on (default: 200)")
-    compare.add_argument("--parallel", default="off",
-                         choices=("off", "thread", "process"),
-                         help="run the sharded engine on a worker pool, one "
-                              "worker per shard (process = real parallelism, "
-                              "thread = low-overhead smoke mode; implies "
-                              "sharding, see --workers; not with --wal-dir "
-                              "or --self-heal)")
-    compare.add_argument("--workers", type=int, default=0, metavar="N",
-                         help="worker count for --parallel; each worker owns "
-                              "one shard, so this doubles as the shard count "
-                              "when --shards is not given (they must agree "
-                              "when both are)")
+    compare.add_argument("--parallel", action="store_true",
+                         help="run the --shards N engine (N >= 2) on a pool "
+                              "of worker processes, one per shard; same I/O "
+                              "and results as inline (not with --wal-dir or "
+                              "--self-heal)")
     compare.add_argument("--partitioner", default="grid",
                          choices=("grid", "density", "speed"),
                          help="shard partitioning strategy: equal-width grid "
                               "slabs, density-balanced boundaries at object-"
                               "count quantiles, or speed-based (fast movers "
                               "routed to a dedicated churn shard); needs "
-                              "--shards or --parallel (default: grid)")
+                              "--shards (default: grid)")
     compare.add_argument("--rebalance", action="store_true",
                          help="enable online shard rebalancing: hot shards "
                               "are detected from per-shard I/O ledgers and "
                               "the partition is re-cut with an atomic "
-                              "cutover (needs --shards or --parallel)")
+                              "cutover (needs --shards)")
     compare.add_argument("--lsm-memtable", type=int, default=None, metavar="N",
                          help="LSM-R-tree: flush the memtable every N distinct "
                               "objects (default: 256)")
@@ -473,23 +466,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
     batched = args.batch > 0
     walled = args.wal_dir is not None
     healing = getattr(args, "self_heal", False)
-    parallel_mode = getattr(args, "parallel", "off")
-    parallel = parallel_mode != "off"
+    parallel = getattr(args, "parallel", False)
+    parallel_mode = "process" if parallel else "off"
     if healing and sharded:
         print("--self-heal does not compose with --shards (the wrapper "
               "rebuilds one structure; shard routers manage their own)",
               file=sys.stderr)
         return 1
-    if args.workers and not parallel:
-        print("--workers needs --parallel thread|process", file=sys.stderr)
-        return 1
     partitioner = getattr(args, "partitioner", "grid")
     rebalance = getattr(args, "rebalance", False)
-    if (partitioner != "grid" or rebalance) and not (sharded or parallel):
-        print("--partitioner/--rebalance need --shards N or --parallel "
+    if (partitioner != "grid" or rebalance) and not sharded:
+        print("--partitioner/--rebalance need --shards N "
               "(they configure the shard router)", file=sys.stderr)
         return 1
-    n_workers = 0
     if parallel:
         if walled:
             print("--parallel does not compose with --wal-dir (WAL append "
@@ -501,28 +490,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
                   "wrapper rebuilds one structure; the worker pool degrades "
                   "to inline on its own)", file=sys.stderr)
             return 1
-        if args.workers > 1 and sharded and args.workers != args.shards:
-            print("--workers must equal --shards (each worker owns exactly "
-                  "one shard)", file=sys.stderr)
+        if not sharded:
+            print("--parallel needs --shards N with N >= 2", file=sys.stderr)
             return 1
-        n_workers = args.workers if args.workers > 1 else args.shards
-        if n_workers < 2:
-            print("--parallel needs --workers N (or --shards N) with N >= 2",
-                  file=sys.stderr)
-            return 1
-        sharded = False  # one router; --parallel picks its pool executor
     kinds = tuple(dict.fromkeys(args.index)) if args.index else IndexKind.ALL
     print(f"{len(stream)} updates, {len(queries)} queries (ratio {args.ratio:g})")
     if pooled:
         print(f"buffer pool: {args.buffer_pool} frames (LRU, write-back)")
-    if sharded or batched or parallel:
+    if sharded or batched:
         parts = []
         if sharded:
             parts.append(f"{args.shards} shards ({partitioner} partition)")
         if parallel:
-            parts.append(f"parallel {parallel_mode} "
-                         f"({n_workers} workers, one shard each, "
-                         f"{partitioner} partition)")
+            parts.append("parallel process (one worker per shard)")
         if rebalance:
             parts.append("online rebalance (hot-shard detection)")
         if batched:
@@ -546,13 +526,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     print(header)
     print("-" * len(header))
     partition = None
-    if (sharded or parallel) and partitioner != "grid":
+    if sharded and partitioner != "grid":
         from repro.engine import make_partition
 
         partition = make_partition(
             partitioner,
             domain,
-            n_workers if parallel else args.shards,
+            args.shards,
             positions=current,
             histories=histories,
         )
@@ -569,12 +549,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     rebalancer = ShardRebalancer(RebalancePolicy(
                         strategy="speed" if partitioner == "speed" else "density"
                     ))
-                if sharded or parallel:
+                if sharded:
                     index = ShardedIndex(
                         kind,
                         domain,
-                        n_workers if parallel else args.shards,
-                        mode=parallel_mode if parallel else "inline",
+                        args.shards,
+                        mode="process" if parallel else "inline",
                         histories=histories if kind == IndexKind.CT else None,
                         query_rate=query_rate,
                         pool_frames=args.buffer_pool,
@@ -659,18 +639,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
                         "pager": store_metrics(),
                         "buffer_pool": (
                             store.metrics_dict()
-                            if pooled and not sharded and not parallel
+                            if pooled and not sharded
                             else None
                         ),
                         "engine": {
-                            "shards": n_workers if parallel else args.shards,
+                            "shards": args.shards,
                             "batch": args.batch,
                             "parallel": parallel_mode,
-                            "sharded": (
-                                index.engine_dict()
-                                if sharded or parallel
-                                else None
-                            ),
+                            "sharded": index.engine_dict() if sharded else None,
                             "buffer": (
                                 buffer.stats.to_dict()
                                 if buffer is not None
@@ -718,7 +694,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 "partitioner": partitioner,
                 "rebalance": rebalance,
                 "parallel": parallel_mode,
-                "workers": n_workers,
                 "batch": args.batch,
                 "self_heal": healing,
                 "drift_window": args.drift_window if healing else None,

@@ -14,9 +14,12 @@ and the sids whose worker died.  ``mode`` picks the executor:
 
 * ``"inline"`` -- :class:`InlineExecutor`, the default: parent-resident
   shards, commands run in-process and synchronously, one op per round;
-* ``"thread"`` / ``"process"`` -- the worker pool of :mod:`repro.parallel`
-  (imported only when a pool is requested): one worker owns one shard,
-  per-shard sub-batches dispatch concurrently.
+* ``"process"`` -- the worker pool of :mod:`repro.parallel` (imported only
+  when a pool is requested): one worker process owns one shard, per-shard
+  sub-batches dispatch concurrently.
+
+Probes (``stats``, ``verify``) are shard commands too, so each runs
+wherever its shard lives.
 
 Accounting: the router owns one ledger per shard, and every shard ledger
 mirrors its charges into a **shared** one (so the driver's per-run
@@ -64,7 +67,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (rebalance imports us)
     from repro.engine.rebalance import Partitioner, ShardRebalancer
 
 #: Shard executor modes, ``ShardedIndex(..., mode=...)``.
-MODES = ("inline", "thread", "process")
+MODES = ("inline", "process")
 
 
 class SpacePartition:
@@ -178,7 +181,7 @@ class ShardIOStats(IOStats):
 
 
 class WorkerFailure(RuntimeError):
-    """A shard worker died (process exit or thread abort) mid-command."""
+    """A shard worker process died mid-command."""
 
 
 def route_histories(
@@ -281,6 +284,8 @@ class ShardServer:
       raises stops the run and is reported, never raised;
     * ``("query", category, lo, hi)`` -- range search over ``Rect(lo, hi)``;
     * ``("stats",)`` -- structural probe (``tree_stats``, tallies included);
+    * ``("verify",)`` -- ``verify_index`` of the shard's index plus its
+      ``(oid, position)`` residents, for the router-level checks;
     * ``("ping", token)`` -- transport echo (dispatch-RTT measurement).
 
     ``reports_io`` is the ledger hop.  A pool worker's shard charges a
@@ -313,6 +318,16 @@ class ShardServer:
             return resp
         if tag == "stats":
             return {"ok": True, "tree": tree_stats(self.shard.index)}
+        if tag == "verify":
+            # The health layer sits above the engine: import on use.
+            from repro.health.verify import iter_objects, verify_index
+
+            index = self.shard.index
+            return {
+                "ok": True,
+                "report": verify_index(index, kind=self.kind),
+                "objects": list(iter_objects(index)),
+            }
         if tag == "ping":
             # Transport echo: no shard work, no I/O -- the unit of measure
             # for the dispatch-RTT microbench.
@@ -361,7 +376,7 @@ class ShardServer:
 class ShardExecutor(Protocol):
     """The seam the router runs every piece of shard work through."""
 
-    #: ``"inline"``, ``"thread"`` or ``"process"``.
+    #: ``"inline"`` or ``"process"``.
     mode: str
     #: Whether ``apply_batch`` flushes a shard's queue after every op
     #: (inline) or only at cross-shard moves and batch end (a pool).
@@ -524,8 +539,8 @@ class ShardedIndex:
         domain: the full data domain (partitioned into slabs).
         n_shards: number of slabs.
         mode: the shard executor -- ``"inline"`` (parent-resident shards,
-            in-process), ``"thread"`` or ``"process"`` (a worker pool, one
-            worker per shard).  Every mode charges the same page I/O and
+            in-process) or ``"process"`` (a worker pool, one worker process
+            per shard).  Every mode charges the same page I/O and
             returns the same results; only wall clock differs.
         histories: CT-only history profile; trails are routed to the shard
             owning their most recent sample, so each shard mines qs-regions
@@ -668,7 +683,6 @@ class ShardedIndex:
         from repro.parallel.workers import PoolExecutor
 
         return PoolExecutor(
-            mode,
             self.kind,
             specs,
             ledgers,
@@ -778,7 +792,7 @@ class ShardedIndex:
 
     @property
     def shards(self) -> List[Shard]:
-        """The parent-resident shard structures (inline and thread modes)."""
+        """The parent-resident shard structures (inline mode only)."""
         shards = self._executor.shards
         if shards is None:
             raise AttributeError(
@@ -1096,25 +1110,32 @@ class ShardedIndex:
 
     # -- aggregated telemetry ------------------------------------------------
 
-    def _probe(self) -> List[dict]:
-        """One ``stats`` response per shard, in shard-id order."""
+    def probe(self, cmd: tuple) -> List[dict]:
+        """One response to the probe ``cmd`` (``("stats",)`` or
+        ``("verify",)``) per shard, in shard-id order, run wherever each
+        shard lives; a worker that dies mid-probe falls back to inline."""
         out, failed = self._executor.dispatch(
-            {sid: ("stats",) for sid in range(self.n_shards)}
+            {sid: cmd for sid in range(self.n_shards)}
         )
         if failed:
             self._fall_back()
-            return self._probe()
+            return self.probe(cmd)
         return [out[sid] for sid in range(self.n_shards)]
 
     def collect_tree_stats(self) -> Dict[str, object]:
         """Structural probe: each shard computes its own ``tree_stats``
         wherever it lives; the router aggregates (``obs.treestats``
         dispatches here)."""
-        return aggregate_shard_stats([resp["tree"] for resp in self._probe()], self)
+        return aggregate_shard_stats(
+            [resp["tree"] for resp in self.probe(("stats",))], self
+        )
 
     @property
     def lazy_hits(self) -> int:
-        return sum(int(resp["tree"].get("lazy_hits") or 0) for resp in self._probe())
+        return sum(
+            int(resp["tree"].get("lazy_hits") or 0)
+            for resp in self.probe(("stats",))
+        )
 
     def shard_results(self) -> List[RunResult]:
         """Per-shard ledgers (UPDATE/QUERY categories of each shard ledger)."""

@@ -11,9 +11,10 @@ family promises:
 * CT-R-tree: qs-region page chains (chain/fills agreement, page
   ownership, region containment), overflow buffers (list fills,
   alpha-tree leaf tags and bounds), duplicates, hash agreement, size;
-* sharded engine: each shard verified recursively, plus router coverage
-  -- every resident object lives in the shard its position maps to and
-  the owner map mirrors actual residency;
+* sharded engine: each shard verified where it lives (the ``verify``
+  shard command), plus router coverage -- every resident object lives in
+  the shard its position maps to and the owner map mirrors actual
+  residency;
 * B+-tree family: key order, interval mirrors, arity, leaf-chain order,
   and (lazy variant) hash agreement.
 
@@ -196,7 +197,7 @@ def verify_index(index, *, kind: Optional[str] = None) -> VerifyReport:
         _verify_lazy(index, report)
     elif isinstance(index, RTree):
         report.kind = "rtree"
-        _verify_rtree(index, report)
+        _walk_rtree(index, report)
     elif isinstance(index, LazyBPlusTree):
         report.kind = "lazy-bptree"
         _wrap_validate(index, report)
@@ -266,12 +267,10 @@ def _wrap_validate(index, report: VerifyReport) -> None:
 # -- R-tree family ---------------------------------------------------------
 
 
-def _verify_rtree(tree: RTree, report: VerifyReport, prefix: str = "") -> None:
-    _walk_rtree(tree, report, prefix)
-
-
-def _walk_rtree(tree: RTree, report: VerifyReport, prefix: str) -> Dict[int, PageId]:
-    """Structural walk shared by the plain and lazy verifiers; returns the
+def _walk_rtree(
+    tree: RTree, report: VerifyReport, prefix: str = ""
+) -> Dict[int, PageId]:
+    """Structural walk shared by every R-tree-shaped verifier; returns the
     object -> leaf-pid residency map."""
     live: Dict[int, PageId] = {}
     root = tree.pager.inspect(tree.root_pid)
@@ -352,16 +351,13 @@ def _walk_rtree(tree: RTree, report: VerifyReport, prefix: str) -> Dict[int, Pag
     return live
 
 
-def _verify_lazy(lazy: LazyRTree, report: VerifyReport, prefix: str = "") -> None:
-    live = _walk_rtree(lazy.tree, report, prefix)
-    _check_hash(lazy.hash, live, report, prefix)
+def _verify_lazy(lazy: LazyRTree, report: VerifyReport) -> None:
+    live = _walk_rtree(lazy.tree, report)
+    _check_hash(lazy.hash, live, report)
 
 
 def _check_hash(
-    hash_index: HashIndex,
-    live: Dict[int, PageId],
-    report: VerifyReport,
-    prefix: str,
+    hash_index: HashIndex, live: Dict[int, PageId], report: VerifyReport
 ) -> None:
     """Hash <-> residency agreement in both directions."""
     for obj_id, pid in live.items():
@@ -369,7 +365,7 @@ def _check_hash(
         if pointed != pid:
             report.add(
                 "hash-stale",
-                f"{prefix}hash",
+                "hash",
                 f"object {obj_id} points at {pointed}, lives in {pid}",
                 repairable=True,
             )
@@ -377,7 +373,7 @@ def _check_hash(
         if obj_id not in live:
             report.add(
                 "hash-orphan",
-                f"{prefix}hash bucket {bucket_no}",
+                f"hash bucket {bucket_no}",
                 f"entry for unknown object {obj_id}",
                 repairable=True,
             )
@@ -396,7 +392,7 @@ def _iter_hash_entries(hash_index: HashIndex) -> Iterator[Tuple[int, int]]:
 # -- LSM-R-tree ------------------------------------------------------------
 
 
-def _verify_lsm(lsm: LSMRTree, report: VerifyReport, prefix: str = "") -> None:
+def _verify_lsm(lsm: LSMRTree, report: VerifyReport) -> None:
     """Run-level R-tree invariants plus the LSM's own cross-run promises.
 
     * every run tree passes the structural walk (MBR containment, fanout,
@@ -416,7 +412,7 @@ def _verify_lsm(lsm: LSMRTree, report: VerifyReport, prefix: str = "") -> None:
         if pending.oid in lsm._mem_dead:
             report.add(
                 "lsm-memtable",
-                f"{prefix}memtable",
+                "memtable",
                 f"oid {pending.oid} is both pending and tombstoned",
             )
         resolved.add(pending.oid)
@@ -425,8 +421,8 @@ def _verify_lsm(lsm: LSMRTree, report: VerifyReport, prefix: str = "") -> None:
     runs = lsm.runs
     for i in range(len(runs) - 1, -1, -1):
         run = runs[i]
-        loc = f"{prefix}run {i} (seq {run.seq})"
-        _verify_rtree(run.tree, report, prefix=f"{loc}: ")
+        loc = f"run {i} (seq {run.seq})"
+        _walk_rtree(run.tree, report, f"{loc}: ")
         stored = sorted(oid for oid, _ in run.tree.iter_objects())
         side = list(run.oids)
         if stored != side:
@@ -461,14 +457,14 @@ def _verify_lsm(lsm: LSMRTree, report: VerifyReport, prefix: str = "") -> None:
     if phantom:
         report.add(
             "lsm-live-set",
-            f"{prefix}lsm",
+            "lsm",
             f"{len(phantom)} oids in the live set resolve dead: {phantom[:5]}",
         )
     missing = sorted(resolved - lsm._live)
     if missing:
         report.add(
             "lsm-live-set",
-            f"{prefix}lsm",
+            "lsm",
             f"{len(missing)} oids resolve live but are not in the live set: "
             f"{missing[:5]}",
         )
@@ -477,19 +473,17 @@ def _verify_lsm(lsm: LSMRTree, report: VerifyReport, prefix: str = "") -> None:
 # -- CT-R-tree -------------------------------------------------------------
 
 
-def _verify_ct(ct: CTRTree, report: VerifyReport, prefix: str = "") -> None:
+def _verify_ct(ct: CTRTree, report: VerifyReport) -> None:
     live: Dict[int, PageId] = {}
     root = ct._pager.inspect(ct._root_pid)
     if root.parent != NO_PAGE:
-        report.add(
-            "structure", f"{prefix}root", "structural root has a parent pointer"
-        )
+        report.add("structure", "root", "structural root has a parent pointer")
     stack: List[Tuple[PageId, Optional[Rect]]] = [(ct._root_pid, None)]
     while stack:
         pid, covering = stack.pop()
         node = ct._pager.inspect(pid)
         report.checked_nodes += 1
-        loc = f"{prefix}node {pid}"
+        loc = f"node {pid}"
         if len(node.entries) > ct.max_entries:
             report.add("fanout", loc, f"overfull ({len(node.entries)})")
         for entry in node.entries:
@@ -504,23 +498,23 @@ def _verify_ct(ct: CTRTree, report: VerifyReport, prefix: str = "") -> None:
                 if not isinstance(entry, QSEntry):
                     report.add("structure", loc, "leaf entry is not a QSEntry")
                     continue
-                _verify_qs_chain(ct, node, entry, live, report, prefix)
+                _verify_qs_chain(ct, node, entry, live, report)
             else:
                 child = ct._pager.inspect(entry.child)
                 if child.parent != pid:
                     report.add(
                         "structure",
-                        f"{prefix}node {entry.child}",
+                        f"node {entry.child}",
                         f"parent pointer {child.parent} != {pid}",
                     )
                 stack.append((entry.child, entry.rect))
-        _verify_node_buffer(ct, node, live, report, prefix)
-    _check_hash(ct.hash, live, report, prefix)
+        _verify_node_buffer(ct, node, live, report)
+    _check_hash(ct.hash, live, report)
     report.checked_objects += len(live)
     if len(live) != len(ct):
         report.add(
             "size-counter",
-            f"{prefix}tree",
+            "tree",
             f"size counter {len(ct)} != stored objects {len(live)}",
         )
 
@@ -531,9 +525,8 @@ def _verify_qs_chain(
     qs: QSEntry,
     live: Dict[int, PageId],
     report: VerifyReport,
-    prefix: str,
 ) -> None:
-    loc = f"{prefix}region {qs.region_id}"
+    loc = f"region {qs.region_id}"
     if len(qs.chain) != len(qs.fills):
         report.add("qs-chain", loc, "chain/fills length mismatch")
     for pid, fill in zip(qs.chain, qs.fills):
@@ -564,10 +557,10 @@ def _verify_qs_chain(
 
 
 def _verify_node_buffer(
-    ct: CTRTree, node, live: Dict[int, PageId], report: VerifyReport, prefix: str
+    ct: CTRTree, node, live: Dict[int, PageId], report: VerifyReport
 ) -> None:
     buf = node.buffer
-    loc = f"{prefix}buffer of node {node.pid}"
+    loc = f"buffer of node {node.pid}"
     if buf.kind == NodeBuffer.KIND_LIST:
         for pid, fill in zip(buf.pages, buf.fills):
             page = ct._pager.inspect(pid)
@@ -622,44 +615,38 @@ def _verify_node_buffer(
 
 
 def _verify_sharded(sharded: ShardedIndex, report: VerifyReport) -> None:
-    try:
-        shards = sharded.shards
-    except AttributeError as exc:
-        report.add("unsupported", "sharded", str(exc))
-        return
     residents: Dict[int, Tuple[int, Point]] = {}
-    for shard in shards:
-        prefix = f"shard {shard.sid}: "
-        index = shard.index
-        if isinstance(index, CTRTree):
-            _verify_ct(index, report, prefix)
-        elif isinstance(index, LazyRTree):
-            _verify_lazy(index, report, prefix)
-        elif isinstance(index, RTree):
-            _verify_rtree(index, report, prefix)
-        elif hasattr(index, "validate"):
-            for message in index.validate():
-                report.add("invariant", f"{prefix.rstrip(': ')}", message)
-        for obj_id, position in _iter_objects(index):
+    for sid, resp in enumerate(sharded.probe(("verify",))):
+        shard_report: VerifyReport = resp["report"]
+        for violation in shard_report.violations:
+            report.add(
+                violation.code,
+                f"shard {sid}: {violation.location}",
+                violation.message,
+                repairable=violation.repairable,
+            )
+        report.checked_nodes += shard_report.checked_nodes
+        report.checked_objects += shard_report.checked_objects
+        for obj_id, position in resp["objects"]:
             if obj_id in residents:
                 report.add(
                     "duplicate-object",
                     "router",
                     f"object {obj_id} lives in shards "
-                    f"{residents[obj_id][0]} and {shard.sid}",
+                    f"{residents[obj_id][0]} and {sid}",
                 )
-            residents[obj_id] = (shard.sid, position)
+            residents[obj_id] = (sid, position)
             # Identity-aware routing: shard_for covers non-uniform
             # boundaries and the speed partitioner's churn shard (where
             # residency is decided by object id, not position).
             home = sharded.partition.shard_for(obj_id, position)
-            if home != shard.sid:
+            if home != sid:
                 report.add(
                     "router-coverage",
-                    f"shard {shard.sid}",
+                    f"shard {sid}",
                     f"object {obj_id} at {position} belongs to slab {home}",
                 )
-    n = len(shards)
+    n = sharded.n_shards
     for obj_id, sid in sharded._owner.items():
         if not 0 <= sid < n:
             report.add(
@@ -693,7 +680,7 @@ def _verify_sharded(sharded: ShardedIndex, report: VerifyReport) -> None:
             )
 
 
-def _iter_objects(index) -> Iterator[Tuple[int, Point]]:
+def iter_objects(index) -> Iterator[Tuple[int, Point]]:
     """(object id, position) pairs of any spatial index family; uncharged."""
     if hasattr(index, "iter_objects"):
         yield from index.iter_objects()
@@ -857,7 +844,7 @@ def _repair_router(sharded: ShardedIndex, report: RepairReport) -> None:
     """Rebuild the owner map from actual shard residency."""
     rebuilt: Dict[int, int] = {}
     for shard in sharded.shards:
-        for obj_id, _position in _iter_objects(shard.index):
+        for obj_id, _position in iter_objects(shard.index):
             rebuilt[obj_id] = shard.sid
     if rebuilt != sharded._owner:
         before = sharded._owner

@@ -76,7 +76,7 @@ FLAG_PIPE = 1  # payload was too large; drain it from the fallback pipe
 
 #: Default payload capacity per direction.  Large enough that sub-batches
 #: and query responses at bench scale stay inline; a miss only costs the
-#: historical pipe hop.  Overridable via ``REPRO_SHM_CAPACITY`` (bytes).
+#: historical pipe hop.
 DEFAULT_CAPACITY = 1 << 20
 
 #: Liveness re-check cadence while blocked on the doorbell (parent side).
@@ -112,15 +112,6 @@ def decode_frames(data: bytes):
         return (*first, unpack_ops(data, stream.tell()))
     body = pickle.load(stream)
     return (*first, body)
-
-
-def shm_capacity() -> int:
-    raw = os.environ.get("REPRO_SHM_CAPACITY", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_CAPACITY
-    return value if value >= 4096 else DEFAULT_CAPACITY
 
 
 def shm_available(ctx) -> bool:
@@ -292,7 +283,7 @@ class ShmChannel:
     __slots__ = ("_req", "_resp", "capacity", "_parent_pid")
 
     def __init__(self, ctx, capacity: Optional[int] = None) -> None:
-        self.capacity = capacity if capacity is not None else shm_capacity()
+        self.capacity = capacity if capacity is not None else DEFAULT_CAPACITY
         self._req = ShmMailbox(ctx, self.capacity)
         try:
             self._resp = ShmMailbox(ctx, self.capacity)

@@ -1,20 +1,16 @@
-"""Shard workers: one worker exclusively owns one shard.
+"""Shard workers: one worker process exclusively owns one shard.
 
-Ownership model: a shard (pager + optional buffer pool + index) is touched
-by exactly one actor at a time.  In **process** mode the shard is built and
-lives inside a child process (fork-preferred), driven over a duplex pipe
-(at most one command is ever in flight per worker, so a pipe's single
-round-trip beats queue feeder-thread hand-offs); in **thread** mode the
-shard is built in the parent but only its worker thread executes commands
-against it.  The parent
-never touches a worker-owned shard while a command is in flight, and every
-dispatch is awaited before the parent reads any shard state -- so no lock is
-needed anywhere.
+Ownership model: a shard (pager + optional buffer pool + index) is built
+and lives inside a child process (fork-preferred), driven over a duplex
+pipe (at most one command is ever in flight per worker, so a pipe's single
+round-trip beats queue feeder-thread hand-offs).  The parent never sees a
+worker-owned shard; every dispatch is awaited before the parent reads any
+response -- so no lock is needed anywhere.
 
 I/O accounting: each worker charges a **private** ledger.  Every response
 carries the per-category read/write deltas the command incurred, and
-:class:`PoolExecutor` -- the sharded router's executor for ``mode="thread"``
-/ ``"process"`` -- reconciles them into the router's per-shard ledgers,
+:class:`PoolExecutor` -- the sharded router's executor for
+``mode="process"`` -- reconciles them into the router's per-shard ledgers,
 single-threaded, after the await, via
 :meth:`~repro.storage.iostats.IOStats.charge`.  This sidesteps the data race
 a mirrored ledger (``ShardIOStats``) would have under concurrent workers,
@@ -25,13 +21,13 @@ Commands are :class:`~repro.engine.sharded.ShardServer`'s protocol, plus
 two the worker loop handles itself: ``("crash",)`` (fault-injection hook:
 die without responding) and ``("shutdown",)`` (exit the loop cleanly).
 
-Transports (process mode): commands and responses travel over a
-shared-memory mailbox channel (:mod:`repro.parallel.shm`) when the host
-supports it — fork start method plus a writable ``/dev/shm`` — and over
-the duplex pipe otherwise.  The pipe always exists: it carries the
-oversize-payload fallback and the EOF crash signal.  The transport choice
-never changes command semantics or I/O accounting; ``transport="pipe"``
-forces the historical behaviour (the dispatch bench A/Bs the two).
+Transports: commands and responses travel over a shared-memory mailbox
+channel (:mod:`repro.parallel.shm`) when the host supports it — fork start
+method plus a writable ``/dev/shm`` — and over the duplex pipe otherwise.
+The pipe always exists: it carries the oversize-payload fallback and the
+EOF crash signal.  The transport choice never changes command semantics or
+I/O accounting; ``transport="pipe"`` forces the historical behaviour (the
+dispatch bench A/Bs the two).
 """
 
 from __future__ import annotations
@@ -39,8 +35,6 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import pickle
-import queue
-import threading
 from time import perf_counter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -104,16 +98,6 @@ def _safe_execute(server: ShardServer, cmd: tuple) -> dict:
         return {"ok": False, "error": str(exc), "exc_type": type(exc).__name__}
 
 
-def _ready_response(shard: Shard, stats: IOStats, wall_s: float) -> dict:
-    return {
-        "ok": True,
-        "ready": True,
-        "io": io_deltas({}, stats.snapshot()),
-        "wall_s": wall_s,
-        "page_count": shard.pager.page_count,
-    }
-
-
 def _process_shard_main(
     conn,
     channel,
@@ -158,7 +142,13 @@ def _process_shard_main(
                 stats=stats,
                 pool_frames=pool_frames,
             )
-        send(_ready_response(shard, stats, perf_counter() - t0))
+        send({
+            "ok": True,
+            "ready": True,
+            "io": io_deltas({}, stats.snapshot()),
+            "wall_s": perf_counter() - t0,
+            "page_count": shard.pager.page_count,
+        })
     except Exception as exc:
         send({"ok": False, "error": str(exc), "exc_type": type(exc).__name__})
         return
@@ -202,8 +192,6 @@ class ProcessWorker:
     parallel engine's unit cost, paid per sub-batch and twice per
     sequenced cross-shard move.
     """
-
-    mode = "process"
 
     def __init__(
         self,
@@ -340,84 +328,6 @@ class ProcessWorker:
         self._conn.close()
 
 
-class ThreadWorker:
-    """One shard owned by a worker thread -- the low-overhead smoke mode.
-
-    The shard object lives in the parent (so structural probes and the
-    health verifier can inspect it between dispatches), but only the worker
-    thread executes commands against it.
-    """
-
-    mode = "thread"
-
-    def __init__(
-        self,
-        kind: str,
-        sid: int,
-        region: Rect,
-        options: IndexOptions,
-        *,
-        pool_frames: int = 0,
-        category: str = IOCategory.OTHER,
-    ) -> None:
-        self.sid = sid
-        stats = IOStats()
-        t0 = perf_counter()
-        with stats.category(category):
-            self.shard = build_shard(
-                kind,
-                sid,
-                region,
-                options,
-                stats=stats,
-                pool_frames=pool_frames,
-            )
-        self._server = ShardServer(kind, self.shard)
-        self._cmd: "queue.Queue[tuple]" = queue.Queue()
-        self._resp: "queue.Queue[dict]" = queue.Queue()
-        self._resp.put(_ready_response(self.shard, stats, perf_counter() - t0))
-        self._thread = threading.Thread(
-            target=self._loop, name=f"shard-worker-{sid}", daemon=True
-        )
-        self._thread.start()
-
-    def _loop(self) -> None:
-        while True:
-            cmd = self._cmd.get()
-            tag = cmd[0]
-            if tag == "shutdown":
-                return
-            if tag == "crash":
-                # Simulated hard death: exit without responding, exactly
-                # like a killed process -- the parent detects it via the
-                # liveness poll in result().
-                return
-            self._resp.put(_safe_execute(self._server, cmd))
-
-    def submit(self, cmd: tuple) -> None:
-        if not self._thread.is_alive():
-            raise WorkerFailure(f"shard {self.sid} worker thread is dead")
-        self._cmd.put(cmd)
-
-    def result(self) -> dict:
-        while True:
-            try:
-                return self._resp.get(timeout=_POLL_S)
-            except queue.Empty:
-                if not self._thread.is_alive():
-                    raise WorkerFailure(
-                        f"shard {self.sid} worker thread died mid-command"
-                    ) from None
-
-    def alive(self) -> bool:
-        return self._thread.is_alive()
-
-    def close(self) -> None:
-        if self._thread.is_alive():
-            self._cmd.put(("shutdown",))
-            self._thread.join(timeout=2.0)
-
-
 class PoolExecutor:
     """The sharded router's worker-pool executor: one worker owns one shard.
 
@@ -428,12 +338,14 @@ class PoolExecutor:
     as ``failed`` for the router to fall back on.
     """
 
+    mode = "process"
     #: Queue per shard; flush at cross-shard moves and at batch end.
     flushes_every_op = False
+    #: The shards live in the worker processes, never in the parent.
+    shards: Optional[List[Shard]] = None
 
     def __init__(
         self,
-        mode: str,
         kind: str,
         specs: Sequence[Tuple[int, Rect, IndexOptions]],
         ledgers: Sequence[IOStats],
@@ -441,22 +353,20 @@ class PoolExecutor:
         pool_frames: int = 0,
         category: str = IOCategory.OTHER,
     ) -> None:
-        self.mode = mode
         self._ledgers = ledgers
         self._page_counts = [0] * len(specs)
-        self._workers: List[object] = []
-        worker_cls = ProcessWorker if mode == "process" else ThreadWorker
+        self._workers: List[ProcessWorker] = []
         try:
             for sid, region, options in specs:
                 self._workers.append(
-                    worker_cls(
+                    ProcessWorker(
                         kind, sid, region, options,
                         pool_frames=pool_frames, category=category,
                     )
                 )
             # Await the ready handshakes after every worker has started, so
-            # process-mode shard construction (CT qs-region mining included)
-            # runs concurrently across the pool.
+            # shard construction (CT qs-region mining included) runs
+            # concurrently across the pool.
             for sid, worker in enumerate(self._workers):
                 resp = worker.result()
                 if not resp.get("ok"):
@@ -467,13 +377,6 @@ class PoolExecutor:
         except BaseException:
             self.close()
             raise
-        #: Thread workers' shards are parent-resident (probes and the
-        #: verifier read them between dispatches); process shards are not.
-        self.shards: Optional[List[Shard]] = (
-            [worker.shard for worker in self._workers]
-            if mode == "thread"
-            else None
-        )
 
     def _reconcile(self, sid: int, resp: dict) -> None:
         ledger = self._ledgers[sid]

@@ -29,26 +29,18 @@ from __future__ import annotations
 
 import heapq
 from time import perf_counter
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 # Back-compat re-exports: these lived here before the engine layer existed.
 from repro.engine.registry import IndexKind, make_index  # noqa: F401
 from repro.engine.results import RunResult  # noqa: F401
 from repro.engine.buffer import UpdateBuffer
 from repro.engine.protocol import PageStore, SpatialIndex
-from repro.core.ctrtree import CTRTree
 from repro.core.geometry import Point
 from repro.citysim.trace import TraceRecord
-from repro.rtree.alpha import AlphaTree
-from repro.rtree.lazy import LazyRTree
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.rtree.rtree import RTree
 from repro.storage.iostats import IOCategory
 from repro.workload.queries import RangeQuery
-
-#: Historical alias; the engine protocol supersedes it (kept for callers
-#: that annotated against the old union).
-AnyIndex = Union[RTree, LazyRTree, AlphaTree, CTRTree]
 
 
 class SimulationDriver:

@@ -146,6 +146,46 @@ class TestCompare:
             assert stats["n_shards"] == 4
             assert stats["size"] == sum(stats["shard_sizes"])
 
+    @pytest.mark.parametrize("extra", [["--batch", "16"], []])
+    def test_parallel_matches_inline(self, trace_file, tmp_path, capsys, extra):
+        """The process pool changes where shard work runs, never the I/O
+        charged or what queries return."""
+        import json
+
+        runs = {}
+        for mode, flags in (("inline", []), ("parallel", ["--parallel"])):
+            out = tmp_path / f"{mode}.json"
+            code = main([
+                "compare", str(trace_file), "--history", "30", "--ratio", "20",
+                "--shards", "3", "--metrics-out", str(out), *extra, *flags,
+            ])
+            assert code == 0
+            payload = json.loads(out.read_text())
+            assert "workers" not in payload
+            assert payload["parallel"] == ("process" if flags else "off")
+            runs[mode] = {
+                kind: [entry["run"][key] for key in ("update_io", "query_io",
+                                                     "result_count")]
+                for kind, entry in payload["indexes"].items()
+            }
+        assert "parallel process" in capsys.readouterr().out
+        assert runs["parallel"] == runs["inline"]
+
+    @pytest.mark.parametrize("shards", [[], ["--shards", "1"]])
+    def test_parallel_needs_shards(self, trace_file, capsys, shards):
+        code = main([
+            "compare", str(trace_file), "--history", "30", "--parallel",
+            *shards,
+        ])
+        assert code == 1
+        assert "--parallel needs --shards N" in capsys.readouterr().err
+
+    def test_parallel_takes_no_value(self, trace_file):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["compare", str(trace_file), "--parallel", "thread"]
+            )
+
 
 class TestDurabilityCli:
     def test_compare_with_wal_dir_reports_durability(
@@ -224,6 +264,24 @@ class TestDurabilityCli:
         assert "kind sharded" in printed
         assert "verify:         ok" in printed
         assert f"objects:        {live['size']}\n" in printed
+
+    def test_verify_counts_sharded_lsm_objects(self, trace_file, tmp_path, capsys):
+        """``repro verify`` over a sharded LSM log checks every shard."""
+        import re
+
+        wal_dir = tmp_path / "wal"
+        code = main([
+            "compare", str(trace_file), "--history", "30", "--ratio", "20",
+            "--index", "lsm", "--shards", "4", "--wal-dir", str(wal_dir),
+        ])
+        assert code == 0
+        capsys.readouterr()
+        code = main(["verify", str(wal_dir / "lsm")])
+        assert code == 0
+        printed = capsys.readouterr().out
+        match = re.search(r"sharded: OK \(\d+ nodes, (\d+) objects", printed)
+        assert match, printed
+        assert int(match.group(1)) > 0
 
     def test_recover_without_state_fails_cleanly(self, tmp_path, capsys):
         empty = tmp_path / "nothing"

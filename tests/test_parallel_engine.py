@@ -2,7 +2,7 @@
 what happens or what gets charged.
 
 Every test replays one deterministic workload against the inline
-:class:`ShardedIndex` and the same router on a worker pool (both modes) and compares
+:class:`ShardedIndex` and the same router on a process pool and compares
 observable state: I/O ledgers per category, query result sequences, move
 counters, object counts, per-shard run ledgers.
 """
@@ -21,7 +21,7 @@ from repro.engine.buffer import PendingUpdate
 DOMAIN = Rect((0.0, 0.0), (100.0, 100.0))
 N_SHARDS = 4
 N_OBJECTS = 48
-MODES = ["thread", "process"]
+MODES = ["process"]
 
 
 def _io_signature(stats):
@@ -209,3 +209,5 @@ def test_store_surface(mode):
 def test_rejects_unknown_mode():
     with pytest.raises(ValueError):
         ShardedIndex(IndexKind.LAZY, DOMAIN, 2, mode="fiber")
+    with pytest.raises(ValueError):
+        ShardedIndex(IndexKind.LAZY, DOMAIN, 2, mode="thread")

@@ -23,7 +23,7 @@ from .conftest import brute_force_range
 
 DOMAIN = Rect((0.0, 0.0), (100.0, 100.0))
 N_SHARDS = 4
-MODES = ["thread", "process"]
+MODES = ["process"]
 
 
 def _populate(par, n=60, seed=3):

@@ -641,11 +641,11 @@ class TestSnapshotRoundTrip:
 
 
 class TestApplyPartitionParallel:
-    def test_thread_cutover_matches_inline(self):
+    def test_process_cutover_matches_inline(self):
         positions = _clustered_positions()
         inline = ShardedIndex(IndexKind.LAZY, DOMAIN, 4, max_entries=8)
         par = ShardedIndex(
-            IndexKind.LAZY, DOMAIN, 4, mode="thread", max_entries=8
+            IndexKind.LAZY, DOMAIN, 4, mode="process", max_entries=8
         )
         try:
             _populate(inline, positions)
@@ -671,7 +671,7 @@ class TestApplyPartitionParallel:
     def test_worker_failure_during_cutover_falls_back(self, monkeypatch):
         positions = _clustered_positions()
         par = ShardedIndex(
-            IndexKind.LAZY, DOMAIN, 4, mode="thread", max_entries=8
+            IndexKind.LAZY, DOMAIN, 4, mode="process", max_entries=8
         )
         try:
             _populate(par, positions)
@@ -699,7 +699,7 @@ class TestApplyPartitionParallel:
             RebalancePolicy(check_every=64, min_window_ios=32, hot_factor=1.8)
         )
         par = ShardedIndex(
-            IndexKind.LAZY, DOMAIN, 4, mode="thread", max_entries=8,
+            IndexKind.LAZY, DOMAIN, 4, mode="process", max_entries=8,
             rebalancer=rb,
         )
         try:

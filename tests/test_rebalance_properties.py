@@ -177,12 +177,12 @@ def _drive(index, ops, rebalance_at, plan):
 @SETTINGS
 def test_midrun_rebalance_keeps_inline_parallel_parity(ops, boundaries, cut):
     """The tentpole invariant: a rebalance cutover mid-run leaves the
-    thread-parallel engine's I/O ledger bit-identical to the inline
+    process-pool engine's I/O ledger bit-identical to the inline
     engine's, object for object and category for category."""
     rebalance_at = min(cut, len(ops) - 1)
     inline = ShardedIndex(IndexKind.LAZY, DOMAIN, 4, max_entries=8)
     par = ShardedIndex(
-        IndexKind.LAZY, DOMAIN, 4, mode="thread", max_entries=8
+        IndexKind.LAZY, DOMAIN, 4, mode="process", max_entries=8
     )
     try:
         plan_a = BoundaryPartition(DOMAIN, boundaries, axis=0)

@@ -1,10 +1,10 @@
-"""The shard-executor contract: one router, three executors, one behaviour.
+"""The shard-executor contract: one router, two executors, one behaviour.
 
-``ShardedIndex(..., mode=...)`` runs its shard commands inline, on thread
-workers or on process workers.  These tests pin what the executor may not
-change -- which ids a batch accepts, the order a batch applies in (repeated
-ids and cross-shard moves included), the rebalancer's per-op cadence -- and
-that the inline engine never loads the worker-pool machinery.
+``ShardedIndex(..., mode=...)`` runs its shard commands inline or on process
+workers.  These tests pin what the executor may not change -- which ids a
+batch accepts, the order a batch applies in (repeated ids and cross-shard
+moves included), the rebalancer's per-op cadence -- and that the inline
+engine never loads the worker-pool machinery.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.serve import EngineService
 from repro.storage.iostats import IOCategory
 
 DOMAIN = Rect((0.0, 0.0), (100.0, 100.0))
-MODES = ["inline", "thread", "process"]
+MODES = ["inline", "process"]
 
 
 def _io_signature(stats):

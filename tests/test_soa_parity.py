@@ -5,8 +5,7 @@ Runs the same deterministic trace through both registered entry layouts
 exact equality everywhere an observer could look: query result sequences,
 per-category I/O ledgers (0.000% delta -- the counters are integers, so
 "within tolerance" means equal), and canonical snapshot documents byte for
-byte.  Inline engines, the thread-mode worker pool, and a process-mode pool
-are all exercised.
+byte.  Inline engines and a process-mode worker pool are both exercised.
 
 Also unit-tests the shared-memory transport underneath the process pool:
 transport selection, the forced-pipe override, the oversize->pipe payload
@@ -25,6 +24,7 @@ import pytest
 from repro.core.geometry import Rect
 from repro.engine import IndexKind, ShardedIndex
 from repro.engine.registry import IndexOptions, make_index
+from repro.parallel import shm
 from repro.parallel.shm import shm_available
 from repro.parallel.workers import ProcessWorker, WorkerFailure
 from repro.rtree.node import default_layout, set_default_layout
@@ -164,14 +164,6 @@ def _run_parallel(layout, ops, mode, **kwargs):
     return results, ledger
 
 
-def test_thread_pool_layout_parity(restore_layout):
-    ops = _trace(n=40, rounds=2)
-    soa = _run_parallel("soa", ops, "thread")
-    obj = _run_parallel("object", ops, "thread")
-    assert soa[0] == obj[0]
-    assert _ledger_bytes(soa[1]) == _ledger_bytes(obj[1])
-
-
 def test_process_pool_layout_parity(restore_layout):
     """Process workers fork after set_default_layout, so each pool runs
     entirely on one layout; results and ledgers must still match -- and
@@ -182,17 +174,6 @@ def test_process_pool_layout_parity(restore_layout):
     obj = _run_parallel("object", ops, "process")
     assert soa[0] == obj[0]
     assert _ledger_bytes(soa[1]) == _ledger_bytes(obj[1])
-
-
-def test_process_pool_ledger_matches_thread_pool(restore_layout):
-    """Thread workers execute raw command tuples; process workers round-trip
-    them through encode_cmd/decode_frames.  Byte-identical ledgers across
-    the two transports prove the hoisted header changes framing only."""
-    ops = _trace(n=40, rounds=2)
-    thread = _run_parallel("soa", ops, "thread")
-    process = _run_parallel("soa", ops, "process")
-    assert thread[0] == process[0]
-    assert _ledger_bytes(thread[1]) == _ledger_bytes(process[1])
 
 
 def test_process_pool_matches_inline(restore_layout):
@@ -282,7 +263,7 @@ def test_oversize_payload_detours_through_pipe(monkeypatch):
     ctx = _fork_ctx()
     if not shm_available(ctx):
         pytest.skip("shared memory unavailable on this host")
-    monkeypatch.setenv("REPRO_SHM_CAPACITY", "4096")
+    monkeypatch.setattr(shm, "DEFAULT_CAPACITY", 4096)
     worker = _mk_worker(transport="shm")
     try:
         assert worker.transport == "shm"
@@ -304,7 +285,7 @@ def test_oversize_payload_beyond_socket_buffer(monkeypatch):
     ctx = _fork_ctx()
     if not shm_available(ctx):
         pytest.skip("shared memory unavailable on this host")
-    monkeypatch.delenv("REPRO_SHM_CAPACITY", raising=False)
+    monkeypatch.setattr(shm, "DEFAULT_CAPACITY", 1 << 20)
     worker = _mk_worker(transport="shm")
     try:
         assert worker.transport == "shm"
