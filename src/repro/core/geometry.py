@@ -674,6 +674,62 @@ def node_union(los: Columns, his: Columns) -> Optional[Rect]:
     return Rect(tuple(min(c) for c in los), tuple(max(c) for c in his))
 
 
+def node_min_distances(
+    los: Columns, his: Columns, point: Sequence[float]
+) -> List[float]:
+    """Per entry, :meth:`Rect.min_distance` from ``point``: the best-first
+    kNN bound of every child of a branch node, in entry order.
+
+    The 2-D loop squares and sums the out-of-range deltas in the order the
+    method does (x then y, skipping in-range axes), so each bound is the
+    method's double -- NaN coordinates count as in range in both.
+    """
+    if len(los) == 2 and len(point) == 2:
+        p0, p1 = point[0], point[1]
+        sqrt = math.sqrt
+        out = []
+        for l0, l1, h0, h1 in zip(los[0], los[1], his[0], his[1]):
+            if p0 < l0:
+                delta = l0 - p0
+                total = delta * delta
+            elif p0 > h0:
+                delta = p0 - h0
+                total = delta * delta
+            else:
+                total = 0.0
+            if p1 < l1:
+                delta = l1 - p1
+                total += delta * delta
+            elif p1 > h1:
+                delta = p1 - h1
+                total += delta * delta
+            out.append(sqrt(total))
+        return out
+    dims = range(len(los))
+    return [
+        Rect._make(
+            tuple(los[d][i] for d in dims), tuple(his[d][i] for d in dims)
+        ).min_distance(point)
+        for i in range(len(los[0]) if los else 0)
+    ]
+
+
+def node_point_distances(los: Columns, point: Sequence[float]) -> List[float]:
+    """Per (leaf, point) entry, ``math.dist(point, entry_point)`` in entry
+    order -- only the ``lo`` columns are read, as for :func:`node_points_in`.
+
+    The 2-D loop calls ``math.hypot`` on the coordinate differences:
+    ``math.dist`` is that same correctly-rounded norm of the absolute
+    differences, so every distance is bit-identical to it.
+    """
+    if len(los) == 2 and len(point) == 2:
+        p0, p1 = point[0], point[1]
+        hypot = math.hypot
+        return [hypot(p0 - x, p1 - y) for x, y in zip(los[0], los[1])]
+    dist = math.dist
+    return [dist(point, coords) for coords in zip(*los)]
+
+
 def square_at(center: Sequence[float], side: float) -> Rect:
     """The axis-aligned square (hyper-cube) of side ``side`` centered at ``center``.
 

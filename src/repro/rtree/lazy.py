@@ -244,6 +244,13 @@ class LazyRTree:
     def search_point(self, point: Sequence[float]) -> List[int]:
         return self.tree.search_point(point)
 
+    def nearest(
+        self, point: Sequence[float], k: int = 1
+    ) -> List[Tuple[float, int, Point]]:
+        """The ``k`` nearest objects as (distance, id, point): the tree's
+        best-first search, whose bounds hold over loose MBRs too."""
+        return self.tree.nearest(point, k)
+
     # -- uncharged introspection ------------------------------------------
 
     def validate(self) -> List[str]:

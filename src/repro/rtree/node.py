@@ -30,6 +30,13 @@ column API (``set_rect``, ``set_point``, ``find_child``...).  Indexing a
 packed container yields a live :class:`EntryView` proxy whose attribute
 writes go straight through to the buffers.
 
+Best-first kNN reads a whole node's bounds in one call:
+``min_distances(point)`` gives every entry's ``Rect.min_distance`` (a
+branch's child bounds) and ``point_distances(point)`` every point entry's
+``math.dist`` (a leaf's candidates), the same doubles on both layouts.
+``SoAEntries.take(rows)`` gathers rows into a new container, which is how
+a column split rebuilds its two groups.
+
 Two fields are *metadata* in the sense of DESIGN.md section 5 -- bookkeeping a
 real system would pin in memory, maintained without I/O charge, symmetrically
 for every index:
@@ -44,6 +51,7 @@ for every index:
 
 from __future__ import annotations
 
+import math
 import os
 from array import array
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -55,6 +63,8 @@ from repro.core.geometry import (
     node_containing_point_indices,
     node_intersecting_children,
     node_intersecting_indices,
+    node_min_distances,
+    node_point_distances,
     node_points_in,
     node_union,
     rect_contains_point,
@@ -300,9 +310,20 @@ class SoAEntries:
     def child_list(self) -> List[int]:
         return self.children.tolist()
 
+    def take(self, rows: Sequence[int]) -> "SoAEntries":
+        """A new container holding the given rows, in the order given --
+        how a column split rebuilds its two groups."""
+        out = SoAEntries()
+        out.dim = self.dim
+        children = self.children
+        out.children = array("q", [children[i] for i in rows])
+        out.los = tuple(array("d", [c[i] for i in rows]) for c in self.los)
+        out.his = tuple(array("d", [c[i] for i in rows]) for c in self.his)
+        return out
+
     def materialize(self) -> List[Entry]:
         """Unpack into real :class:`Entry` objects (stable identity, cached
-        area) — the boundary handed to the split policies."""
+        area) — what the split policies without a column form are handed."""
         los = self.los
         his = self.his
         return [
@@ -329,9 +350,7 @@ class SoAEntries:
 
     def iter_points(self) -> Iterator[Tuple[int, Point]]:
         """Yield ``(child, point)`` per (leaf) entry."""
-        los = self.los
-        for i, child in enumerate(self.children):
-            yield child, tuple(c[i] for c in los)
+        return zip(self.children, zip(*self.los))
 
     def fill_points(self, oids: array, columns: Sequence[array]) -> None:
         """Replace the contents with point entries held in packed columns:
@@ -379,6 +398,12 @@ class SoAEntries:
 
     def union_rect(self) -> Optional[Rect]:
         return node_union(self.los, self.his)
+
+    def min_distances(self, point: Sequence[float]) -> List[float]:
+        return node_min_distances(self.los, self.his, point)
+
+    def point_distances(self, point: Sequence[float]) -> List[float]:
+        return node_point_distances(self.los, point)
 
 
 class ObjectEntries:
@@ -564,6 +589,13 @@ class ObjectEntries:
         if not self._items:
             return None
         return Rect.union_all(entry.rect for entry in self._items)
+
+    def min_distances(self, point: Sequence[float]) -> List[float]:
+        return [entry.rect.min_distance(point) for entry in self._items]
+
+    def point_distances(self, point: Sequence[float]) -> List[float]:
+        dist = math.dist
+        return [dist(point, entry.rect.lo) for entry in self._items]
 
 
 EntryContainer = Union[SoAEntries, ObjectEntries]

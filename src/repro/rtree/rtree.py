@@ -25,8 +25,8 @@ import math
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.geometry import Point, Rect
-from repro.rtree.node import Entry, RTreeNode
-from repro.rtree.splits import SPLIT_POLICIES
+from repro.rtree.node import Entry, RTreeNode, SoAEntries
+from repro.rtree.splits import SPLIT_POLICIES, quadratic_split_columns
 from repro.storage.page import NO_PAGE, PageId
 from repro.storage.pager import Pager
 
@@ -75,6 +75,10 @@ class RTree:
         self.min_entries = max(2, int(math.ceil(max_entries * min_fill)))
         self.split_policy = split
         self._split_fn = SPLIT_POLICIES[split]
+        #: The column form of the policy, when it has one (quadratic only).
+        self._split_columns = (
+            quadratic_split_columns if split == "quadratic" else None
+        )
         self.alpha = alpha
         self.shrink_on_delete = shrink_on_delete
         self.on_entries_moved = on_entries_moved
@@ -266,22 +270,29 @@ class RTree:
                 break
             node = parent
 
+    def _split_groups(self, entries):
+        """The two groups of an overfull node's entries.
+
+        A packed node under a policy with a column form (the quadratic
+        split) is split by row index over its coordinate columns and both
+        groups are gathered from them; any other node is materialized into
+        :class:`Entry` objects for the policy.  The groups are the same
+        either way.
+        """
+        split_columns = self._split_columns
+        if split_columns is not None and isinstance(entries, SoAEntries):
+            keep, move = split_columns(entries.los, entries.his, self.min_entries)
+            return entries.take(keep), entries.take(move)
+        return self._split_fn(entries.materialize(), self.min_entries)
+
     def _split_and_place(self, path: List[RTreeNode], placed: Entry) -> PageId:
         """Split the overfull ``path[-1]``, propagating upward; returns the
-        page id that ended up holding ``placed``.
-
-        The split policies operate on real :class:`Entry` objects (stable
-        rects with cached areas), so the packed entries are materialized
-        once per split and the resulting groups packed back — a cold-path
-        conversion that keeps the policies layout-agnostic.
-        """
+        page id that ended up holding ``placed``."""
         placed_pid = NO_PAGE
         placed_level = path[-1].level
         while path:
             node = path.pop()
-            group_keep, group_move = self._split_fn(
-                node.entries.materialize(), self.min_entries
-            )
+            group_keep, group_move = self._split_groups(node.entries)
             node.entries = group_keep
             node.mbr = node.tight_mbr()
             sibling = RTreeNode(level=node.level)
@@ -291,19 +302,18 @@ class RTree:
             self._pager.allocate(sibling)
             self._pager.write(node)
 
+            moved = sibling.entries.child_list()
             if node.level > 0:
-                for child_entry in group_move:
-                    self._inspect(child_entry.child).parent = sibling.pid
-            elif self.on_entries_moved is not None:
-                moved = [(e.child, sibling.pid) for e in group_move]
-                if moved:
-                    self.on_entries_moved(moved)
+                for child in moved:
+                    self._inspect(child).parent = sibling.pid
+            elif self.on_entries_moved is not None and moved:
+                self.on_entries_moved([(child, sibling.pid) for child in moved])
 
             if placed_pid == NO_PAGE and node.level == placed_level:
                 # ``placed`` sits in exactly one of the groups of this
                 # (bottom-most) split; child ids are unique per level, so
                 # membership by id resolves its page.
-                if any(e.child == placed.child for e in group_move):
+                if placed.child in moved:
                     placed_pid = sibling.pid
                 else:
                     placed_pid = node.pid
@@ -544,40 +554,57 @@ class RTree:
         Best-first search (Hjaltason & Samet): a priority queue ordered by
         lower-bound distance holds both unexplored nodes and concrete
         objects; nodes are read (charged) only when their bound is still
-        competitive.
+        competitive.  Each visited node's bounds come from one whole-node
+        kernel (``min_distances`` / ``point_distances``), and an entry is
+        queued only if its bound is not above the k-th smallest object
+        distance queued so far: such an entry could only pop after ``k``
+        objects had, so dropping it changes neither the results nor the
+        pages read.  Equal bounds are kept, so ties pop in queue order.
         """
         if k < 1:
             raise ValueError("k must be at least 1")
         target = tuple(point)
-        heap: List[Tuple[float, int, int, Optional[Point]]] = []
-        counter = 0
-
-        def push_node(pid: PageId, bound: float) -> None:
-            nonlocal counter
-            heapq.heappush(heap, (bound, counter, pid, None))
-            counter += 1
-
-        def push_object(obj_id: int, obj_point: Point) -> None:
-            nonlocal counter
-            heapq.heappush(
-                heap, (math.dist(target, obj_point), counter, obj_id, obj_point)
-            )
-            counter += 1
-
-        push_node(self._root_pid, 0.0)
+        push = heapq.heappush
+        pop = heapq.heappop
+        heap: List[Tuple[float, int, int, Optional[Point]]] = [
+            (0.0, 0, self._root_pid, None)
+        ]
+        counter = 1
+        # Negated distances of the k nearest objects queued so far (a
+        # max-heap); ``cutoff`` is the largest of them once there are k.
+        kth: List[float] = []
+        cutoff = math.inf
         results: List[Tuple[float, int, Point]] = []
         while heap and len(results) < k:
-            distance, _tie, ident, payload = heapq.heappop(heap)
+            distance, _tie, ident, payload = pop(heap)
             if payload is not None:
                 results.append((distance, ident, payload))
                 continue
             node = self._read(ident)
+            entries = node.entries
             if node.is_leaf:
-                for child, obj_point in node.entries.iter_points():
-                    push_object(child, obj_point)
+                for dist, (child, obj_point) in zip(
+                    entries.point_distances(target), entries.iter_points()
+                ):
+                    if dist > cutoff:
+                        continue
+                    push(heap, (dist, counter, child, obj_point))
+                    counter += 1
+                    if dist < cutoff:  # a tie or a NaN never tightens it
+                        if len(kth) < k:
+                            push(kth, -dist)
+                            if len(kth) == k:
+                                cutoff = -kth[0]
+                        else:
+                            heapq.heapreplace(kth, -dist)
+                            cutoff = -kth[0]
             else:
-                for lo, hi, child in node.entries.iter_packed():
-                    push_node(child, Rect._make(lo, hi).min_distance(target))
+                for bound, child in zip(
+                    entries.min_distances(target), entries.child_list()
+                ):
+                    if bound <= cutoff:
+                        push(heap, (bound, counter, child, None))
+                        counter += 1
         return results
 
     # -- uncharged introspection ----------------------------------------------

@@ -15,11 +15,12 @@ client can tell exactly how far behind the answer may be, and can ask for
 ``fresh: true`` (a primary read serialized after the queued writes) when
 it needs read-your-writes.
 
-Each replica guards its index with a lock: reads are not structurally pure
-here (the lazy R-tree family purges lazy-deleted entries *during* a range
-search), so two executor threads must not walk the same replica
-concurrently.  Scaling reads means more replicas, not more threads per
-replica.
+Each replica guards its index with a lock.  A read leaves the tree as it
+found it, but every read is charged: it bumps the replica's shared
+``IOStats`` counters and, when the index sits on a buffer pool, moves the
+pool's LRU frames.  Two executor threads must therefore not walk the same
+replica concurrently.  Scaling reads means more replicas, not more threads
+per replica.
 """
 
 from __future__ import annotations
@@ -41,13 +42,15 @@ Neighbor = Tuple[float, int, Point]
 def knn_search(index, point: Sequence[float], k: int, domain: Rect) -> List[Neighbor]:
     """k nearest objects as (distance, id, point), nearest first.
 
-    Uses the index's own best-first ``nearest`` when it has one (R-tree,
-    CT-R-tree); otherwise falls back to an expanding-window search over
-    ``range_search``, which every index kind and both shard routers
-    support.  The window doubles until it either holds ``k`` objects whose
-    true distance fits inside it (circle-in-square: those are guaranteed
-    complete) or covers the whole domain (then all objects are candidates).
-    Fallback ties break by object id.
+    Uses the index's own best-first ``nearest`` when it has one: every
+    2-D index kind does (the R-tree family, the CT-R-tree, the LSM-R-tree).
+    Of what the daemon serves, only ``ShardedIndex`` still takes the
+    fallback (so does the ``SelfHealingIndex`` wrapper): an
+    expanding-window search over ``range_search``.  The window doubles
+    until it either holds ``k`` objects whose true distance fits inside it
+    (circle-in-square: those are guaranteed complete) or covers the whole
+    domain (then all objects are candidates).  Fallback ties break by
+    object id.
     """
     if k < 1:
         raise ValueError("k must be at least 1")

@@ -1,5 +1,6 @@
 """Tests for k-nearest-neighbour search on the R-tree family and CT-R-tree."""
 
+import heapq
 import math
 import random
 
@@ -11,6 +12,7 @@ from repro.core.ctrtree import CTRTree
 from repro.core.geometry import Rect
 from repro.core.params import CTParams
 from repro.rtree import AlphaTree, LazyRTree, RTree
+from repro.serve import knn_search
 from repro.storage.pager import Pager
 from tests.conftest import random_points
 
@@ -191,3 +193,111 @@ def test_property_ct_knn_matches_rtree_knn(coords, k, seed):
     ct_dists = [round(d, 9) for d, _, _ in ct.nearest(target, k)]
     rt_dists = [round(d, 9) for d, _, _ in rt.nearest(target, k)]
     assert ct_dists == rt_dists
+
+
+def unpruned_nearest(tree, point, k):
+    """Best-first kNN that queues every entry of every visited node, as
+    ``RTree.nearest`` did before it pruned against the k-th distance: the
+    oracle for results *and* for the order pages are read in."""
+    target = tuple(point)
+    heap = [(0.0, 0, tree.root_pid, None)]
+    counter = 1
+    results = []
+    while heap and len(results) < k:
+        distance, _tie, ident, payload = heapq.heappop(heap)
+        if payload is not None:
+            results.append((distance, ident, payload))
+            continue
+        node = tree.pager.read(ident)
+        if node.is_leaf:
+            for entry in node.entries:
+                point_ = entry.rect.lo
+                heapq.heappush(heap, (math.dist(target, point_), counter, entry.child, point_))
+                counter += 1
+        else:
+            for entry in node.entries:
+                heapq.heappush(heap, (entry.rect.min_distance(target), counter, entry.child, None))
+                counter += 1
+    return results
+
+
+def logged_reads(pager):
+    """Record every charged page read of ``pager`` (instance-level patch)."""
+    log = []
+    read = pager.read
+
+    def logging_read(pid):
+        log.append(pid)
+        return read(pid)
+
+    pager.read = logging_read
+    return log
+
+
+def loaded_index(cls, rng, n, duplicates=False):
+    index = cls(Pager(), max_entries=8)
+    points = {}
+    for oid in range(n):
+        if duplicates and oid % 3:
+            point = points[oid - oid % 3]
+        else:
+            point = (rng.uniform(0, 100), rng.uniform(0, 100))
+        index.insert(oid, point)
+        points[oid] = point
+    if cls is not RTree:
+        # Moves that escape their leaf relocate; the lazy family never
+        # shrinks the MBRs they leave behind.
+        for _ in range(3 * n):
+            oid = rng.randrange(n)
+            new = (
+                min(100.0, max(0.0, points[oid][0] + rng.uniform(-15, 15))),
+                min(100.0, max(0.0, points[oid][1] + rng.uniform(-15, 15))),
+            )
+            index.update(oid, points[oid], new)
+            points[oid] = new
+    return index, points
+
+
+class TestPrunedBestFirst:
+    """Pruning against the k-th distance changes neither the answer nor a
+    single page read."""
+
+    @pytest.mark.parametrize("cls", [RTree, LazyRTree, AlphaTree])
+    @pytest.mark.parametrize("duplicates", [False, True], ids=["distinct", "duplicates"])
+    def test_matches_unpruned_oracle(self, cls, duplicates, rng):
+        index, points = loaded_index(cls, rng, 250, duplicates)
+        tree = index if cls is RTree else index.tree
+        log = logged_reads(tree.pager)
+        targets = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(10)]
+        targets += [(-50.0, -50.0), (150.0, 40.0), (50.0, 1e6), (-1e-9, 100.0)]
+        for target in targets:
+            for k in (1, 10, 50):
+                del log[:]
+                want = unpruned_nearest(tree, target, k)
+                want_reads = list(log)
+                del log[:]
+                got = index.nearest(target, k)
+                assert got == want
+                assert log == want_reads
+                assert [d for d, _, _ in got] == sorted(
+                    math.dist(target, p) for p in points.values()
+                )[:k]
+
+    @pytest.mark.parametrize("cls", [RTree, LazyRTree, AlphaTree])
+    def test_empty_index(self, cls):
+        index = cls(Pager())
+        assert index.nearest((5.0, 5.0), k=10) == []
+
+    def test_k_beyond_population_returns_everything(self, rng):
+        index, points = loaded_index(LazyRTree, rng, 30)
+        got = index.nearest((50.0, 50.0), k=50)
+        assert sorted(oid for _, oid, _ in got) == sorted(points)
+        assert got == unpruned_nearest(index.tree, (50.0, 50.0), 50)
+
+    def test_lazy_knn_search_uses_best_first(self, rng):
+        index, points = loaded_index(LazyRTree, rng, 200)
+        calls = []
+        index.range_search = lambda rect: calls.append(rect) or []
+        found = knn_search(index, (42.0, 17.0), 10, Rect((0, 0), (100, 100)))
+        assert calls == []
+        assert [oid for _, oid, _ in found] == brute_knn(points, (42.0, 17.0), 10)

@@ -180,3 +180,76 @@ def test_choose_subtree_first_wins_ties():
     for n in _sizes():
         soa = _pack([r] * n)
         assert soa.choose_subtree(q.lo, q.hi) == 0
+
+
+# -- kNN distance kernels ----------------------------------------------------
+
+
+def _same_floats(a, b):
+    """Element-wise bit equality, NaN matching NaN."""
+    return len(a) == len(b) and all(
+        x == y or (x != x and y != y) for x, y in zip(a, b)
+    )
+
+
+def _pack_object(rects):
+    obj = ObjectEntries()
+    for child, rect in enumerate(rects):
+        obj.append(Entry(rect, child))
+    return obj
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(raw_rect, max_size=30),
+    st.tuples(coord, coord),
+)
+def test_distance_kernels_agree_across_layouts(rects, point):
+    """``min_distances`` is ``Rect.min_distance`` and ``point_distances`` is
+    ``math.dist`` to the entry's ``lo`` corner, on both layouts, bit for
+    bit -- NaN and infinite coordinates included."""
+    soa = _pack(rects)
+    obj = _pack_object(rects)
+    bounds = [r.min_distance(point) for r in rects]
+    assert _same_floats(soa.min_distances(point), bounds)
+    assert _same_floats(obj.min_distances(point), bounds)
+    dists = [math.dist(point, r.lo) for r in rects]
+    assert _same_floats(soa.point_distances(point), dists)
+    assert _same_floats(obj.point_distances(point), dists)
+
+
+def test_distance_kernels_on_edge_rects():
+    nan = float("nan")
+    rects = [
+        Rect((5.0, 5.0), (5.0, 5.0)),  # zero extent, query inside
+        Rect((13.0, 14.0), (13.0, 14.0)),  # zero extent, off both axes
+        Rect((0.0, 0.0), (10.0, 10.0)),  # query on the boundary
+        Rect._make((nan, 1.0), (nan, 2.0)),  # NaN x: counts as in range
+        Rect._make((nan, nan), (nan, nan)),
+    ]
+    for point in [(10.0, 5.0), (0.0, 0.0), (nan, 3.0)]:
+        for container in (_pack(rects), _pack_object(rects)):
+            assert _same_floats(
+                container.min_distances(point),
+                [r.min_distance(point) for r in rects],
+            )
+            assert _same_floats(
+                container.point_distances(point),
+                [math.dist(point, r.lo) for r in rects],
+            )
+    assert _pack(rects).min_distances((10.0, 5.0))[:3] == [5.0, 9.486832980505138, 0.0]
+
+
+def test_distance_kernels_generic_dimension():
+    rects = [
+        Rect((0.0, 0.0, 0.0), (1.0, 2.0, 3.0)),
+        Rect((4.0, 4.0, 4.0), (4.0, 4.0, 4.0)),
+    ]
+    point = (2.0, -1.0, 5.0)
+    for container in (_pack(rects), _pack_object(rects)):
+        assert container.min_distances(point) == [
+            r.min_distance(point) for r in rects
+        ]
+        assert container.point_distances(point) == [
+            math.dist(point, r.lo) for r in rects
+        ]
