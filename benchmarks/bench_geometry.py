@@ -2,21 +2,23 @@
 """Geometry micro-benchmark: the Rect hot-path kernels.
 
 Times the four predicates every R-tree descent funnels through --
-``intersects``, ``union``, ``enlargement``, ``contains_point`` -- both
-through the :class:`~repro.core.geometry.Rect` methods and through the
-flat-tuple kernels the descent loops use (``rect_intersects`` & co.), over
-a fixed-seed pair set.  The kernel and method paths perform identical
-floating-point operations, so this also cross-checks that the fast paths
-agree bit-for-bit with the objects they replace.
+``intersects``, ``union``, ``enlargement``, ``contains_point`` -- through
+the :class:`~repro.core.geometry.Rect` methods and, for ``intersects`` and
+``enlargement``, through the flat-tuple kernels per-entry loops use
+(``rect_intersects``, ``rect_enlargement``), over a fixed-seed pair set.
+The kernel and method paths perform identical floating-point operations,
+so this also cross-checks that the fast paths agree bit-for-bit with the
+objects they replace.
 
-PR 7 adds two sections:
+Two more sections:
 
 * **node scans** (:func:`run_node_scan_bench`): whole-node intersect-all
-  and choose-subtree over the struct-of-arrays layout
-  (:class:`~repro.rtree.node.SoAEntries`) versus the object layout
-  (:class:`~repro.rtree.node.ObjectEntries`), at fanout-scale and
-  vectorized-scale node sizes.  Results are asserted identical per query
-  before anything is timed.
+  and choose-subtree over the packed node layout
+  (:class:`~repro.rtree.node.SoAEntries`) versus a per-entry loop over a
+  ``list[Entry]`` (one flat-tuple kernel call per entry, what a node scan
+  cost before entries were packed), at fanout-scale and vectorized-scale
+  node sizes.  Results are asserted identical per query before anything
+  is timed.
 * **dispatch RTT** (:func:`run_dispatch_bench`): per-``("ping", token)``
   round-trip through real shard worker processes, over the pipe transport
   and over the shared-memory mailbox.
@@ -48,7 +50,6 @@ if str(REPO_ROOT / "src") not in sys.path:  # allow running without PYTHONPATH
 
 from repro.core.geometry import (  # noqa: E402
     Rect,
-    rect_contains_point,
     rect_enlargement,
     rect_intersects,
 )
@@ -120,14 +121,6 @@ def run_geometry_bench(n_pairs: int = 4096, repeat: int = 5) -> Dict[str, object
                 count += 1
         return len(pairs)
 
-    def kernel_contains() -> int:
-        fast = rect_contains_point
-        count = 0
-        for a, _, point in pairs:
-            if fast(a.lo, a.hi, point):
-                count += 1
-        return len(pairs)
-
     def method_union() -> int:
         for a, b, _ in pairs:
             a.union(b)
@@ -146,7 +139,7 @@ def run_geometry_bench(n_pairs: int = 4096, repeat: int = 5) -> Dict[str, object
 
     timed: Dict[str, Dict[str, Callable[[], int]]] = {
         "intersects": {"method": method_intersects, "kernel": kernel_intersects},
-        "contains_point": {"method": method_contains, "kernel": kernel_contains},
+        "contains_point": {"method": method_contains},
         "union": {"method": method_union},
         "enlargement": {"method": method_enlargement, "kernel": kernel_enlargement},
     }
@@ -162,16 +155,45 @@ def run_geometry_bench(n_pairs: int = 4096, repeat: int = 5) -> Dict[str, object
     return result
 
 
-# -- PR 7: whole-node scan micro-bench (SoA vs object layout) --------------
+# -- whole-node scan micro-bench (packed columns vs per-entry loop) --------
+
+
+def _per_entry_intersecting(entries, qlo, qhi) -> List[int]:
+    """Intersect-all as one flat-tuple kernel call per ``Entry``."""
+    inter = rect_intersects
+    out = []
+    for i, entry in enumerate(entries):
+        rect = entry.rect
+        if inter(rect.lo, rect.hi, qlo, qhi):
+            out.append(i)
+    return out
+
+
+def _per_entry_choose(entries, rlo, rhi) -> int:
+    """Guttman's choose-subtree as one flat-tuple kernel call per ``Entry``
+    (least enlargement, then least area, first index wins ties)."""
+    enlargement_of = rect_enlargement
+    best = -1
+    best_enl = float("inf")
+    best_area = float("inf")
+    for i, entry in enumerate(entries):
+        rect = entry.rect
+        area = rect.area
+        enl = enlargement_of(rect.lo, rect.hi, rlo, rhi, area)
+        if enl < best_enl or (enl == best_enl and area < best_area):
+            best = i
+            best_enl = enl
+            best_area = area
+    return best
 
 
 def _make_node(n: int, seed: int):
-    """Identical entry data packed into both layouts, plus probe rects."""
-    from repro.rtree.node import Entry, ObjectEntries, SoAEntries
+    """The same entries packed and as a ``list[Entry]``, plus probe rects."""
+    from repro.rtree.node import Entry, SoAEntries
 
     rng = random.Random(seed)
     soa = SoAEntries()
-    obj = ObjectEntries()
+    entries = []
     for child in range(n):
         x = rng.uniform(0.0, DOMAIN - 80.0)
         y = rng.uniform(0.0, DOMAIN - 80.0)
@@ -180,7 +202,7 @@ def _make_node(n: int, seed: int):
             (x + rng.uniform(1.0, 80.0), y + rng.uniform(1.0, 80.0)),
         )
         soa.append(Entry(rect, child))
-        obj.append(Entry(rect, child))
+        entries.append(Entry(rect, child))
     queries = []
     for _ in range(64):
         qx = rng.uniform(0.0, DOMAIN - 120.0)
@@ -191,35 +213,36 @@ def _make_node(n: int, seed: int):
                 (qx + rng.uniform(5.0, 120.0), qy + rng.uniform(5.0, 120.0)),
             )
         )
-    return soa, obj, queries
+    return soa, entries, queries
 
 
 def run_node_scan_bench(
     sizes: Tuple[int, ...] = (20, 256), repeat: int = 5, seed: int = 11
 ) -> Dict[str, object]:
-    """Whole-node scans, SoA vs object layout; asserts identical results.
+    """Whole-node scans, packed vs per-entry loop; asserts identical results.
 
     ``n=20`` is real fanout (the pure-Python scan path), ``n=256`` is the
-    vectorized regime the ≥3x CI gate watches.  ``vectorized`` records
-    whether numpy backs the large-size scans -- without it the wall-clock
-    gates are meaningless (the fallback is a plain loop) and CI skips them.
+    vectorized regime the CI gate watches.  ``vectorized`` records whether
+    the largest size reaches the numpy scan path (``NP_SCAN_MIN``).
     """
-    from repro.core.geometry import NP_SCAN_MIN, _np
+    from repro.core.geometry import NP_SCAN_MIN
 
     out: Dict[str, object] = {
         "repeat": repeat,
-        "vectorized": _np is not None and max(sizes) >= NP_SCAN_MIN,
+        "vectorized": max(sizes) >= NP_SCAN_MIN,
         "sizes": {},
     }
     for n in sizes:
-        soa, obj, queries = _make_node(n, seed)
+        soa, entries, queries = _make_node(n, seed)
         # Agreement first: a wrong scan must never be timed.
         for q in queries:
-            if soa.intersecting_indices(q.lo, q.hi) != obj.intersecting_indices(
-                q.lo, q.hi
+            if soa.intersecting_indices(q.lo, q.hi) != _per_entry_intersecting(
+                entries, q.lo, q.hi
             ):
                 raise AssertionError(f"intersect-all disagrees at n={n}")
-            if soa.choose_subtree(q.lo, q.hi) != obj.choose_subtree(q.lo, q.hi):
+            if soa.choose_subtree(q.lo, q.hi) != _per_entry_choose(
+                entries, q.lo, q.hi
+            ):
                 raise AssertionError(f"choose-subtree disagrees at n={n}")
 
         def soa_intersect() -> int:
@@ -228,10 +251,9 @@ def run_node_scan_bench(
                 scan(q.lo, q.hi)
             return len(queries)
 
-        def obj_intersect() -> int:
-            scan = obj.intersecting_indices
+        def per_entry_intersect() -> int:
             for q in queries:
-                scan(q.lo, q.hi)
+                _per_entry_intersecting(entries, q.lo, q.hi)
             return len(queries)
 
         def soa_choose() -> int:
@@ -240,23 +262,22 @@ def run_node_scan_bench(
                 choose(q.lo, q.hi)
             return len(queries)
 
-        def obj_choose() -> int:
-            choose = obj.choose_subtree
+        def per_entry_choose() -> int:
             for q in queries:
-                choose(q.lo, q.hi)
+                _per_entry_choose(entries, q.lo, q.hi)
             return len(queries)
 
         entry: Dict[str, object] = {"agree": True}
-        for name, soa_fn, obj_fn in (
-            ("intersect_all", soa_intersect, obj_intersect),
-            ("choose_subtree", soa_choose, obj_choose),
+        for name, soa_fn, per_entry_fn in (
+            ("intersect_all", soa_intersect, per_entry_intersect),
+            ("choose_subtree", soa_choose, per_entry_choose),
         ):
             soa_s, ops = _best_of(soa_fn, repeat)
-            obj_s, _ = _best_of(obj_fn, repeat)
+            per_entry_s, _ = _best_of(per_entry_fn, repeat)
             entry[name] = {
                 "soa_ns_per_scan": soa_s / ops * 1e9,
-                "object_ns_per_scan": obj_s / ops * 1e9,
-                "speedup": obj_s / soa_s if soa_s > 0 else float("inf"),
+                "per_entry_ns_per_scan": per_entry_s / ops * 1e9,
+                "speedup": per_entry_s / soa_s if soa_s > 0 else float("inf"),
             }
         out["sizes"][str(n)] = entry
     return out
@@ -283,13 +304,10 @@ def run_scan_crossover_sweep(
 
     out: Dict[str, object] = {
         "current_threshold": geometry.NP_SCAN_MIN,
-        "numpy_available": geometry._np is not None,
         "repeat": repeat,
         "sizes": {},
         "measured_crossover": None,
     }
-    if geometry._np is None:
-        return out
     rng = random.Random(seed)
     saved = geometry.NP_SCAN_MIN
     crossover = None
@@ -401,25 +419,27 @@ def run_dispatch_bench(n_pings: int = 200, warmup: int = 20) -> Dict[str, object
 # -- agreement checks (run in the tier-1 suite; timings are not asserted) --
 
 
-def test_node_scans_agree_with_object_layout() -> None:
+def test_node_scans_agree_with_per_entry_loop() -> None:
     for n in (0, 1, 7, 20, 64, 200):
-        soa, obj, queries = _make_node(n, seed=n + 40)
+        soa, entries, queries = _make_node(n, seed=n + 40)
         for q in queries:
-            assert soa.intersecting_indices(q.lo, q.hi) == obj.intersecting_indices(
-                q.lo, q.hi
+            assert soa.intersecting_indices(q.lo, q.hi) == _per_entry_intersecting(
+                entries, q.lo, q.hi
             )
-            assert soa.choose_subtree(q.lo, q.hi) == obj.choose_subtree(q.lo, q.hi)
-            assert soa.containing_point_indices(q.lo) == obj.containing_point_indices(
-                q.lo
+            assert soa.choose_subtree(q.lo, q.hi) == _per_entry_choose(
+                entries, q.lo, q.hi
             )
-        assert soa.union_rect() == obj.union_rect()
+            assert soa.containing_point_indices(q.lo) == [
+                i for i, e in enumerate(entries) if e.rect.contains_point(q.lo)
+            ]
+        expected = Rect.union_all(e.rect for e in entries) if entries else None
+        assert soa.union_rect() == expected
 
 
 def test_kernels_agree_with_methods() -> None:
     pairs = make_pairs(512, seed=7)
     for a, b, point in pairs:
         assert rect_intersects(a.lo, a.hi, b.lo, b.hi) == a.intersects(b)
-        assert rect_contains_point(a.lo, a.hi, point) == a.contains_point(point)
         assert rect_enlargement(a.lo, a.hi, b.lo, b.hi, a.area) == a.enlargement(b)
         union = a.union(b)
         assert union.lo == tuple(min(x, y) for x, y in zip(a.lo, b.lo))
@@ -450,25 +470,22 @@ def main(argv=None) -> int:
             row = entry[op]
             print(
                 f"  node[{n:>3}] {op:<15} soa {row['soa_ns_per_scan']:8.1f} "
-                f"object {row['object_ns_per_scan']:8.1f} ns/scan "
+                f"per-entry {row['per_entry_ns_per_scan']:8.1f} ns/scan "
                 f"({row['speedup']:.2f}x)"
             )
 
     crossover = run_scan_crossover_sweep(repeat=args.repeat)
     result["scan_crossover"] = crossover
-    if crossover["numpy_available"]:
-        for n, row in crossover["sizes"].items():
-            marker = "np" if row["numpy_wins"] else "py"
-            print(
-                f"  scan[{n:>3}] numpy {row['numpy_ns_per_scan']:8.1f} "
-                f"python {row['python_ns_per_scan']:8.1f} ns/scan  <- {marker}"
-            )
+    for n, row in crossover["sizes"].items():
+        marker = "np" if row["numpy_wins"] else "py"
         print(
-            f"  crossover: numpy wins from n={crossover['measured_crossover']} "
-            f"(shipped NP_SCAN_MIN={crossover['current_threshold']})"
+            f"  scan[{n:>3}] numpy {row['numpy_ns_per_scan']:8.1f} "
+            f"python {row['python_ns_per_scan']:8.1f} ns/scan  <- {marker}"
         )
-    else:
-        print("  scan crossover: numpy unavailable, sweep skipped")
+    print(
+        f"  crossover: numpy wins from n={crossover['measured_crossover']} "
+        f"(shipped NP_SCAN_MIN={crossover['current_threshold']})"
+    )
 
     if not args.skip_dispatch:
         dispatch = run_dispatch_bench(n_pings=args.pings)

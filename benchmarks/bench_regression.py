@@ -77,13 +77,11 @@ writes ``BENCH_driver.json`` in a stable schema:
 * ``geometry``: the Rect hot-path micro-kernels
   (``benchmarks/bench_geometry.py``) -- method vs. flat-tuple kernel
   ns/op for intersects / contains_point / union / enlargement;
-* ``soa``: the struct-of-arrays node layout (PR 7) -- whole-node
-  intersect-all / choose-subtree scans, SoA vs object layout, at fanout
-  and vectorized node sizes (CI gates >=3x at the large size); per-ping
-  worker dispatch RTT for process-pipe / process-shared-memory
-  transports (CI gates shm < pipe); and a dual-layout parity replay of
-  the lazy workload (identical I/O ledgers and byte-identical snapshot
-  documents, enforced unconditionally).
+* ``soa``: the struct-of-arrays node layout -- whole-node
+  intersect-all / choose-subtree scans, packed columns vs a per-entry
+  loop, at fanout and vectorized node sizes (CI gates >=1x at the large
+  size); and per-ping worker dispatch RTT for process-pipe /
+  process-shared-memory transports (CI gates shm < pipe).
 
 I/O counts and tree shapes are deterministic given ``--seed``; wall clocks
 are hardware-dependent and exist for trend-watching, not for diffing.
@@ -563,43 +561,6 @@ def run_resilience_bench(seed):
         "mttr_max_s": report["mttr"]["max_s"],
         "wall_s": report["wall_s"],
         "invariants": report["invariants"],
-    }
-
-
-def run_layout_parity(bundle):
-    """Both entry layouts over the same lazy workload (the PR 7 rail).
-
-    The SoA layout must be invisible: per-category I/O ledgers, result
-    counts, and the canonical snapshot document must match the object
-    layout byte for byte.  CI enforces every flag here unconditionally.
-    """
-    from repro.rtree.node import set_default_layout
-    from repro.storage.snapshot import build_document
-
-    docs = {}
-    runs = {}
-    for layout in ("soa", "object"):
-        prev = set_default_layout(layout)
-        try:
-            result, index, _ = run_kind(bundle, IndexKind.LAZY, pool_frames=0)
-        finally:
-            set_default_layout(prev)
-        runs[layout] = result
-        docs[layout] = json.dumps(build_document(index), sort_keys=True)
-    soa_run, obj_run = runs["soa"], runs["object"]
-    return {
-        "kind": IndexKind.LAZY,
-        "identical_update_io": soa_run.update_io.to_dict()
-        == obj_run.update_io.to_dict(),
-        "identical_query_io": soa_run.query_io.to_dict()
-        == obj_run.query_io.to_dict(),
-        "identical_result_count": soa_run.result_count == obj_run.result_count,
-        "identical_snapshot": docs["soa"] == docs["object"],
-        "io_delta_pct": 0.0
-        if soa_run.update_io.to_dict() == obj_run.update_io.to_dict()
-        else abs(soa_run.ios_per_update - obj_run.ios_per_update)
-        / obj_run.ios_per_update
-        * 100.0,
     }
 
 
@@ -1085,7 +1046,7 @@ def main(argv=None) -> int:
         f"kernel {ns['kernel_ns_per_op']:.0f} ns"
     )
 
-    # Struct-of-arrays layout (PR 7): node scans, dispatch RTT, parity.
+    # Struct-of-arrays layout: node scans and dispatch RTT.
     try:
         from benchmarks.bench_geometry import (
             run_dispatch_bench,
@@ -1095,12 +1056,7 @@ def main(argv=None) -> int:
         from bench_geometry import run_dispatch_bench, run_node_scan_bench
     node_scan = run_node_scan_bench(repeat=5)
     dispatch = run_dispatch_bench(n_pings=150)
-    parity = run_layout_parity(bundle)
-    soa = {
-        "node_scan": node_scan,
-        "dispatch": dispatch,
-        "layout_parity": parity,
-    }
+    soa = {"node_scan": node_scan, "dispatch": dispatch}
     big = node_scan["sizes"][str(max(int(k) for k in node_scan["sizes"]))]
     shm_row = dispatch["modes"].get("process_shm")
     pipe_row = dispatch["modes"]["process_pipe"]
@@ -1113,7 +1069,6 @@ def main(argv=None) -> int:
             if shm_row
             else " (shm unavailable)"
         )
-        + f"  parity {'OK' if parity['identical_snapshot'] else 'DIVERGED'}"
     )
 
     # LSM-R-tree (PR 10): flat per-update cost head-to-head at increasing

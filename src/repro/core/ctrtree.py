@@ -59,7 +59,7 @@ class CTNode(RTreeNode):
     Leaf-level (``level == 0``) entries are :class:`QSEntry` qs-region slots;
     internal entries are ordinary (rect, child-pid) pairs.
 
-    Entry storage stays a plain python list (``ENTRY_LAYOUT = "list"``):
+    Entry storage stays a plain python list (``LIST_ENTRIES``):
     QSEntry records carry chains/fill ledgers that have no packed
     struct-of-arrays form, and the structural skeleton is tiny and cold
     next to the data pages and overflow buffer trees (which do pack).
@@ -67,7 +67,7 @@ class CTNode(RTreeNode):
 
     __slots__ = ("buffer",)
 
-    ENTRY_LAYOUT = "list"
+    LIST_ENTRIES = True
 
     def __init__(self, level: int = 0) -> None:
         super().__init__(level)

@@ -12,11 +12,10 @@ choose-subtree descent, split evaluation and query fan-out funnels through
 therefore carry unrolled 2-D fast paths (the evaluated workloads are 2-D; the
 n-D general case falls through to the original loops), ``area`` is computed
 once and cached (rectangles are immutable), and the module exposes
-**flat-tuple kernels** (:func:`rect_intersects`, :func:`rect_contains_point`,
-:func:`rect_enlargement`) operating directly on ``lo``/``hi`` tuples so the
-R-tree descent loops skip per-entry method dispatch.  All fast paths perform
-the same floating-point operations in the same order as the generic paths,
-so results are bit-identical.
+**flat-tuple kernels** (:func:`rect_intersects`, :func:`rect_enlargement`)
+operating directly on ``lo``/``hi`` tuples so per-entry loops skip method
+dispatch.  All fast paths perform the same floating-point operations in
+the same order as the generic paths, so results are bit-identical.
 """
 
 from __future__ import annotations
@@ -24,10 +23,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-try:  # numpy accelerates whole-node scans; everything works without it.
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is present in the dev image
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 #: A point is a tuple of coordinates, e.g. ``(x, y)``.
 Point = Tuple[float, ...]
@@ -339,13 +335,6 @@ def rect_intersects(alo: Point, ahi: Point, blo: Point, bhi: Point) -> bool:
     )
 
 
-def rect_contains_point(lo: Point, hi: Point, point: Sequence[float]) -> bool:
-    """``Rect(lo, hi).contains_point(point)`` without the object."""
-    if len(lo) == 2 and len(point) == 2:
-        return lo[0] <= point[0] <= hi[0] and lo[1] <= point[1] <= hi[1]
-    return all(l <= c <= h for l, c, h in zip(lo, point, hi))
-
-
 def rect_area(lo: Point, hi: Point) -> float:
     """Hyper-volume of the rectangle ``[lo, hi]``."""
     if len(lo) == 2:
@@ -387,7 +376,7 @@ def rect_enlargement(
 
 # -- whole-node buffer kernels -------------------------------------------
 #
-# PR 7 packs node entries into a struct-of-arrays layout: one ``array('d')``
+# Node entries are packed in a struct-of-arrays layout: one ``array('d')``
 # column per dimension per bound (``los[d]``, ``his[d]``) plus a parallel
 # ``array('q')`` child/object-id column.  The kernels below scan a *whole
 # node* per call instead of dispatching per entry.  Two engines back each
@@ -421,10 +410,10 @@ Columns = Sequence[Sequence[float]]
 
 def _np_mask_2d(los: Columns, his: Columns, qlo: Point, qhi: Point):
     """Boolean intersect mask over 2-D columns via zero-copy numpy views."""
-    l0 = _np.frombuffer(los[0])  # type: ignore[union-attr]
-    l1 = _np.frombuffer(los[1])  # type: ignore[union-attr]
-    h0 = _np.frombuffer(his[0])  # type: ignore[union-attr]
-    h1 = _np.frombuffer(his[1])  # type: ignore[union-attr]
+    l0 = _np.frombuffer(los[0])
+    l1 = _np.frombuffer(los[1])
+    h0 = _np.frombuffer(his[0])
+    h1 = _np.frombuffer(his[1])
     mask = l0 <= qhi[0]
     mask &= qlo[0] <= h0
     mask &= l1 <= qhi[1]
@@ -443,7 +432,7 @@ def node_intersecting_indices(
     """
     if len(los) == 2:
         n = len(los[0])
-        if _np is not None and n >= NP_SCAN_MIN:
+        if n >= NP_SCAN_MIN:
             return _np.flatnonzero(_np_mask_2d(los, his, qlo, qhi)).tolist()
         ql0, ql1 = qlo[0], qlo[1]
         qh0, qh1 = qhi[0], qhi[1]
@@ -472,7 +461,7 @@ def node_intersecting_children(
     """
     if len(los) == 2:
         n = len(los[0])
-        if _np is not None and n >= NP_SCAN_MIN:
+        if n >= NP_SCAN_MIN:
             return [
                 children[i]
                 for i in _np.flatnonzero(
@@ -498,12 +487,12 @@ def node_containing_point_indices(
 ) -> List[int]:
     """Indices of entries whose rect contains ``point`` (closed bounds).
 
-    Per entry this is exactly :func:`rect_contains_point`.
+    Per entry this is exactly :meth:`Rect.contains_point`.
     """
     if len(los) == 2 and len(point) == 2:
         p0, p1 = point[0], point[1]
         n = len(los[0])
-        if _np is not None and n >= NP_SCAN_MIN:
+        if n >= NP_SCAN_MIN:
             l0 = _np.frombuffer(los[0])
             l1 = _np.frombuffer(los[1])
             h0 = _np.frombuffer(his[0])
@@ -535,14 +524,13 @@ def node_points_in(
     ``[qlo, qhi]``, in entry order.
 
     Leaf entries are degenerate rects, so only the ``lo`` columns are
-    consulted — matching the object path, which tests ``entry.rect.lo``
-    against the query via :func:`rect_contains_point`.
+    consulted: per entry this is ``Rect(qlo, qhi).contains_point(lo)``.
     """
     if len(los) == 2:
         ql0, ql1 = qlo[0], qlo[1]
         qh0, qh1 = qhi[0], qhi[1]
         n = len(los[0])
-        if _np is not None and n >= NP_SCAN_MIN:
+        if n >= NP_SCAN_MIN:
             x = _np.frombuffer(los[0])
             y = _np.frombuffer(los[1])
             mask = ql0 <= x
@@ -574,7 +562,7 @@ def node_choose_subtree(
     """Index of the entry needing least enlargement to cover ``[rlo, rhi]``,
     ties broken by smaller area then lower index (Guttman's ChooseLeaf).
 
-    Performs per entry exactly the operations of the object path:
+    Performs per entry exactly the operations of a per-entry loop:
     ``rect_area`` for the entry's own area, :func:`rect_enlargement` for the
     growth, and the ``enl < best or (enl == best and area < best_area)``
     comparison chain.  Returns ``-1`` when no entry wins (empty node, or
@@ -584,7 +572,7 @@ def node_choose_subtree(
     if len(los) != 2:
         return _choose_subtree_nd(los, his, rlo, rhi)
     n = len(los[0])
-    if _np is not None and n >= NP_SCAN_MIN:
+    if n >= NP_SCAN_MIN:
         l0 = _np.frombuffer(los[0])
         l1 = _np.frombuffer(los[1])
         h0 = _np.frombuffer(his[0])
@@ -643,7 +631,7 @@ def node_choose_subtree(
 def _choose_subtree_nd(
     los: Columns, his: Columns, rlo: Point, rhi: Point
 ) -> int:
-    """Generic-dimension choose-subtree (mirrors the n-D object path)."""
+    """Generic-dimension choose-subtree: a loop of the flat-tuple kernels."""
     dims = range(len(los))
     best = -1
     best_enl = math.inf

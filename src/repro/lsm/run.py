@@ -8,7 +8,7 @@ compaction replaces whole runs.
 
 Membership is a ``bisect`` on those arrays and nothing else: in pure Python
 no probabilistic pre-filter is cheaper than the 0.34-0.44 us binary search
-it would gate (DESIGN.md section 16 has the measurements).
+it would gate (DESIGN.md section 15 has the measurements).
 
 The side tables are main-memory and uncharged, consistent with the repo's
 accounting rule that parent pointers and hash directories are uncharged

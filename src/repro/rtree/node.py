@@ -4,36 +4,27 @@ A node occupies one page and holds up to ``N_entry`` entries (Table 1's
 fan-out).  Leaf entries pair a (degenerate) rectangle with an object id;
 branch entries pair a child MBR with the child's page id.
 
-Entry storage (PR 7) is a pluggable *layout*:
-
-* ``soa`` (default): a :class:`SoAEntries` container packing the entry
-  rectangles into flat ``array('d')`` coordinate columns (one per dimension
-  per bound) plus a parallel ``array('q')`` child/object-id column.  Scans
-  that used to dispatch a ``Rect`` method per entry become whole-node
-  buffer kernels (``repro.core.geometry``), optionally numpy-accelerated.
-* ``object``: an :class:`ObjectEntries` container keeping a plain list of
-  :class:`Entry` objects and scanning via the PR 5 flat-tuple kernels.
-  This is the differential-parity reference implementation; the two
-  layouts must produce bit-identical query results, I/O ledgers and
-  snapshot bytes over any trace (``tests/test_soa_parity.py``).
-
-The session default comes from ``REPRO_NODE_LAYOUT`` (``soa``/``object``)
-and can be flipped at runtime with :func:`set_default_layout`; nodes read
-the default at construction time.  :class:`~repro.core.ctrtree.CTNode`
-opts out via ``ENTRY_LAYOUT = "list"`` because its leaf slots are
+Entries are stored in one layout, a :class:`SoAEntries` container packing
+the entry rectangles into flat ``array('d')`` coordinate columns (one per
+dimension per bound) plus a parallel ``array('q')`` child/object-id
+column.  Node scans are whole-node buffer kernels (``repro.core.geometry``)
+that return what a per-entry loop over ``Rect`` methods returns, bit for
+bit (``tests/test_soa_kernels.py``).  The one opt-out is
+:class:`~repro.core.ctrtree.CTNode`, which sets ``LIST_ENTRIES`` and keeps
+a plain python list because its leaf slots are
 :class:`~repro.core.qsregion.QSEntry` records, which have no packed form.
 
-Both containers present the same list-like surface (``append``/``pop``/
-indexing/iteration/equality) so call sites that only iterate keep
-working; mutating sites in ``rtree.py``/``lazy.py`` use the explicit
-column API (``set_rect``, ``set_point``, ``find_child``...).  Indexing a
-packed container yields a live :class:`EntryView` proxy whose attribute
-writes go straight through to the buffers.
+The container presents a list-like surface (``append``/``pop``/indexing/
+iteration/equality) so call sites that only iterate keep working;
+mutating sites in ``rtree.py``/``lazy.py`` use the explicit column API
+(``set_rect``, ``set_point``, ``find_child``...).  Indexing it yields a
+live :class:`EntryView` proxy whose attribute writes go straight through
+to the buffers.
 
 Best-first kNN reads a whole node's bounds in one call:
 ``min_distances(point)`` gives every entry's ``Rect.min_distance`` (a
 branch's child bounds) and ``point_distances(point)`` every point entry's
-``math.dist`` (a leaf's candidates), the same doubles on both layouts.
+``math.dist`` (a leaf's candidates), the same doubles as those calls.
 ``SoAEntries.take(rows)`` gathers rows into a new container, which is how
 a column split rebuilds its two groups.
 
@@ -51,8 +42,6 @@ for every index:
 
 from __future__ import annotations
 
-import math
-import os
 from array import array
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -67,9 +56,6 @@ from repro.core.geometry import (
     node_point_distances,
     node_points_in,
     node_union,
-    rect_contains_point,
-    rect_enlargement,
-    rect_intersects,
 )
 from repro.storage.page import NO_PAGE, Page, PageId
 
@@ -154,8 +140,6 @@ class SoAEntries:
     """
 
     __slots__ = ("dim", "children", "los", "his")
-
-    layout = "soa"
 
     def __init__(self) -> None:
         self.dim: int = 0
@@ -289,7 +273,7 @@ class SoAEntries:
 
     def find_point_entry(self, child: int, point: Point) -> Optional[int]:
         """First index with this child id *and* ``lo == point`` (tuple
-        float equality, as the object path's ``entry.rect.lo == point``).
+        float equality, as ``entry.rect.lo == point``).
 
         A manual scan rather than ``children.index(child, start)``:
         ``array.array.index`` only grew start/stop in Python 3.10, and
@@ -406,237 +390,9 @@ class SoAEntries:
         return node_point_distances(self.los, point)
 
 
-class ObjectEntries:
-    """Reference entry storage: a list of :class:`Entry` objects scanned
-    via the PR 5 flat-tuple kernels.
-
-    Exposes the same surface as :class:`SoAEntries`; the differential
-    parity suite runs every trace under both and requires identical
-    results, ledgers and snapshot bytes.
-    """
-
-    __slots__ = ("_items",)
-
-    layout = "object"
-
-    def __init__(self) -> None:
-        self._items: List[Entry] = []
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def rect_at(self, i: int) -> Rect:
-        return self._items[i].rect
-
-    def point_at(self, i: int) -> Point:
-        return self._items[i].rect.lo
-
-    def child_at(self, i: int) -> int:
-        return self._items[i].child
-
-    def __getitem__(self, i: int) -> Entry:
-        return self._items[i]
-
-    def __setitem__(self, i: int, entry: EntryLike) -> None:
-        if not isinstance(entry, Entry):
-            entry = Entry(entry.rect, entry.child)
-        self._items[i] = entry
-
-    def __iter__(self) -> Iterator[Entry]:
-        return iter(self._items)
-
-    def __eq__(self, other: object) -> bool:
-        return _entries_equal(self, other)
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"ObjectEntries(n={len(self._items)})"
-
-    def append(self, entry: EntryLike) -> None:
-        if not isinstance(entry, Entry):
-            entry = Entry(entry.rect, entry.child)
-        self._items.append(entry)
-
-    def append_packed(self, lo: Point, hi: Point, child: int) -> None:
-        self._items.append(Entry(Rect._make(lo, hi), child))
-
-    def extend(self, entries: Iterable[EntryLike]) -> None:
-        for entry in entries:
-            self.append(entry)
-
-    def pop(self, i: int = -1) -> Entry:
-        return self._items.pop(i)
-
-    def clear(self) -> None:
-        del self._items[:]
-
-    def set_rect(self, i: int, rect: Rect) -> None:
-        self._items[i].rect = rect
-
-    def set_point(self, i: int, point: Sequence[float]) -> None:
-        item = self._items[i]
-        self._items[i] = Entry(Rect.from_point(point), item.child)
-
-    def find_child(self, child: int) -> Optional[int]:
-        for i, entry in enumerate(self._items):
-            if entry.child == child:
-                return i
-        return None
-
-    def find_point_entry(self, child: int, point: Point) -> Optional[int]:
-        for i, entry in enumerate(self._items):
-            if entry.child == child and entry.rect.lo == point:
-                return i
-        return None
-
-    def child_list(self) -> List[int]:
-        return [entry.child for entry in self._items]
-
-    def materialize(self) -> List[Entry]:
-        return list(self._items)
-
-    def iter_packed(self) -> Iterator[Tuple[Point, Point, int]]:
-        for entry in self._items:
-            rect = entry.rect
-            yield rect.lo, rect.hi, entry.child
-
-    def iter_points(self) -> Iterator[Tuple[int, Point]]:
-        for entry in self._items:
-            yield entry.child, entry.rect.lo
-
-    def fill_points(self, oids: array, columns: Sequence[array]) -> None:
-        points = zip(*(column.tolist() for column in columns))
-        self._items = [
-            Entry(Rect._make(point, point), oid)
-            for oid, point in zip(oids.tolist(), points)
-        ]
-
-    def point_columns(self) -> Tuple[array, Tuple[array, ...]]:
-        items = self._items
-        dim = len(items[0].rect.lo) if items else 0
-        return (
-            array("q", [entry.child for entry in items]),
-            tuple(
-                array("d", [entry.rect.lo[d] for entry in items])
-                for d in range(dim)
-            ),
-        )
-
-    # -- whole-node scans (per-entry flat-tuple kernels, as before PR 7) -----
-
-    def intersecting_indices(self, qlo: Point, qhi: Point) -> List[int]:
-        inter = rect_intersects
-        out = []
-        for i, entry in enumerate(self._items):
-            rect = entry.rect
-            if inter(rect.lo, rect.hi, qlo, qhi):
-                out.append(i)
-        return out
-
-    def intersecting_children(self, qlo: Point, qhi: Point) -> List[int]:
-        inter = rect_intersects
-        out = []
-        for entry in self._items:
-            rect = entry.rect
-            if inter(rect.lo, rect.hi, qlo, qhi):
-                out.append(entry.child)
-        return out
-
-    def containing_point_indices(self, point: Sequence[float]) -> List[int]:
-        contains = rect_contains_point
-        out = []
-        for i, entry in enumerate(self._items):
-            rect = entry.rect
-            if contains(rect.lo, rect.hi, point):
-                out.append(i)
-        return out
-
-    def children_containing_point(self, point: Sequence[float]) -> List[int]:
-        contains = rect_contains_point
-        out = []
-        for entry in self._items:
-            rect = entry.rect
-            if contains(rect.lo, rect.hi, point):
-                out.append(entry.child)
-        return out
-
-    def points_in(self, qlo: Point, qhi: Point) -> List[Tuple[int, Point]]:
-        contains = rect_contains_point
-        out = []
-        for entry in self._items:
-            point = entry.rect.lo  # leaf rects are degenerate points
-            if contains(qlo, qhi, point):
-                out.append((entry.child, point))
-        return out
-
-    def choose_subtree(self, rlo: Point, rhi: Point) -> int:
-        enlargement_of = rect_enlargement
-        best = -1
-        best_enl = float("inf")
-        best_area = float("inf")
-        for i, entry in enumerate(self._items):
-            rect = entry.rect
-            area = rect.area
-            enl = enlargement_of(rect.lo, rect.hi, rlo, rhi, area)
-            if enl < best_enl or (enl == best_enl and area < best_area):
-                best = i
-                best_enl = enl
-                best_area = area
-        return best
-
-    def union_rect(self) -> Optional[Rect]:
-        if not self._items:
-            return None
-        return Rect.union_all(entry.rect for entry in self._items)
-
-    def min_distances(self, point: Sequence[float]) -> List[float]:
-        return [entry.rect.min_distance(point) for entry in self._items]
-
-    def point_distances(self, point: Sequence[float]) -> List[float]:
-        dist = math.dist
-        return [dist(point, entry.rect.lo) for entry in self._items]
-
-
-EntryContainer = Union[SoAEntries, ObjectEntries]
-
-#: Registered entry layouts.  ``"list"`` is a node-class-level opt-out
-#: (plain python list, used by CTNode's QSEntry slots), not a container.
-LAYOUTS = {"soa": SoAEntries, "object": ObjectEntries}
-
-_env_layout = os.environ.get("REPRO_NODE_LAYOUT", "").strip().lower()
-_default_layout: str = _env_layout if _env_layout in LAYOUTS else "soa"
-
-
-def default_layout() -> str:
-    """The entry layout newly constructed nodes use (``soa``/``object``)."""
-    return _default_layout
-
-
-def set_default_layout(name: str) -> str:
-    """Switch the session-default entry layout; returns the previous one.
-
-    Existing nodes keep their container — the differential parity suite
-    builds whole indexes under each layout in turn.
-    """
-    global _default_layout
-    if name not in LAYOUTS:
-        raise ValueError(
-            f"unknown entry layout {name!r}; choose from {sorted(LAYOUTS)}"
-        )
-    previous = _default_layout
-    _default_layout = name
-    return previous
-
-
-def make_entries(layout: Optional[str] = None) -> EntryContainer:
-    """A fresh entry container of ``layout`` (session default when None)."""
-    return LAYOUTS[layout or _default_layout]()
-
-
-def _entries_equal(container: EntryContainer, other: object) -> bool:
+def _entries_equal(container: SoAEntries, other: object) -> bool:
     """Element-wise (rect, child) equality against any entry sequence."""
-    if isinstance(other, (SoAEntries, ObjectEntries, list, tuple)):
+    if isinstance(other, (SoAEntries, list, tuple)):
         if len(container) != len(other):  # type: ignore[arg-type]
             return False
         for i, entry in enumerate(other):  # type: ignore[arg-type]
@@ -654,19 +410,14 @@ class RTreeNode(Page):
 
     __slots__ = ("level", "_entries", "parent", "mbr", "tag")
 
-    #: Entry storage override for subclasses: ``None`` follows the session
-    #: default layout; ``"soa"``/``"object"`` pin a container layout;
-    #: ``"list"`` keeps a plain python list (CTNode's QSEntry slots).
-    ENTRY_LAYOUT: Optional[str] = None
+    #: True for subclasses that keep their entries in a plain python list
+    #: instead of a packed :class:`SoAEntries` (CTNode's QSEntry slots).
+    LIST_ENTRIES = False
 
     def __init__(self, level: int = 0) -> None:
         super().__init__()
         self.level = level
-        layout = type(self).ENTRY_LAYOUT
-        if layout == "list":
-            self._entries: object = []
-        else:
-            self._entries = make_entries(layout)
+        self._entries: object = [] if type(self).LIST_ENTRIES else SoAEntries()
         self.parent: PageId = NO_PAGE
         self.mbr: Optional[Rect] = None
         #: Owner metadata: the CT-R-tree tags overflow alpha-R-tree nodes with
@@ -680,13 +431,13 @@ class RTreeNode(Page):
 
     @entries.setter
     def entries(self, value) -> None:
-        if type(self).ENTRY_LAYOUT == "list":
+        if type(self).LIST_ENTRIES:
             self._entries = list(value)
             return
-        if isinstance(value, (SoAEntries, ObjectEntries)):
+        if isinstance(value, SoAEntries):
             self._entries = value
             return
-        container = make_entries(type(self).ENTRY_LAYOUT)
+        container = SoAEntries()
         container.extend(value)
         self._entries = container
 

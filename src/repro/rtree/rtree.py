@@ -25,7 +25,7 @@ import math
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.geometry import Point, Rect
-from repro.rtree.node import Entry, RTreeNode, SoAEntries
+from repro.rtree.node import Entry, RTreeNode
 from repro.rtree.splits import SPLIT_POLICIES, quadratic_split_columns
 from repro.storage.page import NO_PAGE, PageId
 from repro.storage.pager import Pager
@@ -214,11 +214,10 @@ class RTree:
     def _choose_path(self, rect: Rect, level: int) -> List[RTreeNode]:
         """Read the root-to-target path, choosing least-enlargement children.
 
-        The per-node choose-subtree scan is a whole-node container kernel
-        (``SoAEntries.choose_subtree`` over the packed coordinate columns;
-        ``ObjectEntries`` runs the historical per-entry flat-tuple loop) —
-        both evaluate Guttman's least-enlargement/least-area rule with
-        bit-identical float comparisons.
+        The per-node choose-subtree scan is one whole-node kernel
+        (``SoAEntries.choose_subtree`` over the packed coordinate columns)
+        evaluating Guttman's least-enlargement/least-area rule with the
+        float comparisons of a per-entry ``Rect`` loop.
         """
         node = self._read(self._root_pid)
         path = [node]
@@ -273,14 +272,13 @@ class RTree:
     def _split_groups(self, entries):
         """The two groups of an overfull node's entries.
 
-        A packed node under a policy with a column form (the quadratic
-        split) is split by row index over its coordinate columns and both
-        groups are gathered from them; any other node is materialized into
-        :class:`Entry` objects for the policy.  The groups are the same
-        either way.
+        Under a policy with a column form (the quadratic split) the node is
+        split by row index over its coordinate columns and both groups are
+        gathered from them; any other policy is handed the node's entries
+        materialized into :class:`Entry` objects.
         """
         split_columns = self._split_columns
-        if split_columns is not None and isinstance(entries, SoAEntries):
+        if split_columns is not None:
             keep, move = split_columns(entries.los, entries.his, self.min_entries)
             return entries.take(keep), entries.take(move)
         return self._split_fn(entries.materialize(), self.min_entries)
@@ -525,10 +523,9 @@ class RTree:
     def range_search(self, rect: Rect) -> List[Tuple[int, Point]]:
         """All (obj_id, point) pairs inside the closed rectangle ``rect``.
 
-        Each visited node is scanned whole by a container kernel — a packed
-        buffer sweep for the SoA layout, the historical per-entry flat-tuple
-        loop for the object layout — returning identical matches in entry
-        order either way.
+        Each visited node is scanned whole by one packed-column kernel
+        (``points_in`` at a leaf, ``intersecting_children`` at a branch),
+        which returns its matches in entry order.
         """
         results: List[Tuple[int, Point]] = []
         qlo = rect.lo

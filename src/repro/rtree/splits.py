@@ -10,21 +10,23 @@ groups back into pages.
 The CT-R-tree reuses these for its structural skeleton, so the policies are
 deliberately agnostic about what an entry's ``child`` means.
 
-SoA boundary: nodes store entries packed in struct-of-arrays containers.
-The quadratic split -- every R-tree's default, and the O(n²) PickSeeds /
-PickNext area arithmetic that dominates node splits on the build path and
-the relocation tail -- has a column form, :func:`quadratic_split_columns`:
-``RTree`` hands it a packed node's coordinate columns, gets two row-index
-lists back and gathers both groups from the columns (``SoAEntries.take``),
-with no ``Entry`` or ``Rect`` per entry.  :func:`quadratic_split` runs the
-same 2-D kernel over entry lists (the CT-R-tree's list-layout nodes, the
-object layout) and keeps the per-entry ``Rect`` loop as the generic-
-dimension fallback.  The linear and R* policies have no column form: the
-R-tree materializes the node into real :class:`Entry` objects (one stable,
-area-cached ``Rect`` per entry, ``SoAEntries.materialize``) for them and
-packs the returned groups back.  No policy is handed live ``EntryView``
-proxies: a view's ``rect`` builds a fresh ``Rect`` per access and is tied
-to buffers the caller is about to overwrite.
+SoA boundary: every R-tree node stores its entries packed in one
+struct-of-arrays container (``SoAEntries``); only the CT-R-tree's
+structural nodes keep a plain entry list.  The quadratic split -- every
+R-tree's default, and the O(n²) PickSeeds / PickNext area arithmetic that
+dominates node splits on the build path and the relocation tail -- has a
+column form, :func:`quadratic_split_columns`: ``RTree`` hands it a packed
+node's coordinate columns, gets two row-index lists back and gathers both
+groups from the columns (``SoAEntries.take``), with no ``Entry`` or
+``Rect`` per entry.  :func:`quadratic_split` runs the same 2-D kernel over
+entry lists (the CT-R-tree's list nodes) and keeps the per-entry ``Rect``
+loop as the generic-dimension fallback.  The linear and R* policies have
+no column form: the R-tree materializes the node into real
+:class:`Entry` objects (one stable, area-cached ``Rect`` per entry,
+``SoAEntries.materialize``) for them and packs the returned groups back.
+No policy is handed live ``EntryView`` proxies: a view's ``rect`` builds
+a fresh ``Rect`` per access and is tied to buffers the caller is about to
+overwrite.
 """
 
 from __future__ import annotations

@@ -105,7 +105,7 @@ def _encode_page(page: Page) -> Dict:
         # ``iter_packed`` reads the struct-of-arrays columns directly (no
         # per-entry Rect/view allocation).  ``array('d')`` round-trips the
         # exact doubles that built it and ``array('q')`` yields plain ints,
-        # so the emitted document is byte-identical to the object layout's.
+        # so the document holds the same floats and ints the entries did.
         return {
             "type": "rtree_node",
             "level": page.level,

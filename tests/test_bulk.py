@@ -9,7 +9,7 @@ import pytest
 from repro.core.geometry import Rect
 from repro.rtree import RTree, str_pack
 from repro.rtree.bulk import str_pack_columns
-from repro.rtree.node import Entry, RTreeNode, set_default_layout
+from repro.rtree.node import Entry, RTreeNode
 from repro.storage.page import NO_PAGE
 from repro.storage.pager import Pager
 from repro.storage.snapshot import build_document
@@ -187,18 +187,13 @@ EDGE_CASES = {
 
 
 class TestColumnKernelMatchesPerEntryLoader:
-    @pytest.mark.parametrize("layout", ["soa", "object"])
     @pytest.mark.parametrize("case", sorted(EDGE_CASES))
-    def test_same_snapshot_bytes(self, case, layout):
+    def test_same_snapshot_bytes(self, case):
         items = EDGE_CASES[case]
-        previous = set_default_layout(layout)
-        try:
-            for fill in (0.9, 0.5):
-                assert _document(str_pack, items, fill) == _document(
-                    reference_str_pack, items, fill
-                )
-        finally:
-            set_default_layout(previous)
+        for fill in (0.9, 0.5):
+            assert _document(str_pack, items, fill) == _document(
+                reference_str_pack, items, fill
+            )
 
     def test_no_numpy_scalar_reaches_a_node(self, tree):
         str_pack(tree, EDGE_CASES["integer_coordinates"])

@@ -1,11 +1,12 @@
-"""Property tests for the struct-of-arrays whole-node scans (PR 7).
+"""Property tests for the struct-of-arrays whole-node scans.
 
 The bit-identical contract: every SoA scan must return exactly what a
 per-entry loop over ``Rect`` methods returns -- same index sets, same
-winners, same tie-breaks -- on *arbitrary* buffers, including NaN
-coordinates, zero-extent rects, and rects one ulp away from the query
-boundary.  Both the pure-Python scan path (n < NP_SCAN_MIN) and the
-vectorized path (n >= NP_SCAN_MIN) are exercised.
+child ids, same winners, same tie-breaks, same bounding box -- on
+*arbitrary* buffers, including NaN coordinates, zero-extent rects, and
+rects one ulp away from the query boundary.  Both the pure-Python scan
+path (n < NP_SCAN_MIN) and the vectorized path (n >= NP_SCAN_MIN) are
+exercised.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.geometry import NP_SCAN_MIN, Rect
-from repro.rtree.node import Entry, ObjectEntries, SoAEntries
+from repro.rtree.node import Entry, SoAEntries
 
 INF = math.inf
 
@@ -31,23 +32,25 @@ raw_rect = st.tuples(coord, coord, coord, coord).map(
     lambda c: Rect._make((c[0], c[1]), (c[2], c[3]))
 )
 
-# Well-formed rects (for properties whose oracle needs a valid box).
-_fin = st.floats(
-    min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
-)
-_extent = st.floats(
-    min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
-)
-valid_rect = st.tuples(_fin, _fin, _extent, _extent).map(
-    lambda c: Rect((c[0], c[1]), (c[0] + c[2], c[1] + c[3]))
-)
+
+def _child(i):
+    """Entry ``i``'s child id: distinct from its index, so a scan that
+    returns indices where it owes child ids cannot pass."""
+    return 1000 + i
 
 
 def _pack(rects):
     soa = SoAEntries()
-    for child, rect in enumerate(rects):
-        soa.append(Entry(rect, child))
+    for i, rect in enumerate(rects):
+        soa.append(Entry(rect, _child(i)))
     return soa
+
+
+def _same_floats(a, b):
+    """Element-wise bit equality, NaN matching NaN."""
+    return len(a) == len(b) and all(
+        x == y or (x != x and y != y) for x, y in zip(a, b)
+    )
 
 
 def _oracle_intersecting(rects, q):
@@ -58,8 +61,42 @@ def _oracle_containing(rects, point):
     return [i for i, r in enumerate(rects) if r.contains_point(point)]
 
 
+def _oracle_points_in(rects, q):
+    """The leaf range scan: a point entry is its rect's ``lo`` corner."""
+    return [(_child(i), r.lo) for i, r in enumerate(rects) if q.contains_point(r.lo)]
+
+
+def _union_bounds(union):
+    """``lo + hi`` of the box ``union()`` returns (``None`` for no box), or
+    ``ValueError`` when the validating ``Rect`` constructor rejects an
+    inverted one."""
+    try:
+        rect = union()
+    except ValueError:
+        return ValueError
+    return None if rect is None else rect.lo + rect.hi
+
+
+def _assert_scans_agree(rects, q):
+    soa = _pack(rects)
+    intersecting = _oracle_intersecting(rects, q)
+    containing = _oracle_containing(rects, q.lo)
+    assert soa.intersecting_indices(q.lo, q.hi) == intersecting
+    assert soa.intersecting_children(q.lo, q.hi) == [_child(i) for i in intersecting]
+    assert soa.containing_point_indices(q.lo) == containing
+    assert soa.children_containing_point(q.lo) == [_child(i) for i in containing]
+    assert soa.points_in(q.lo, q.hi) == _oracle_points_in(rects, q)
+    assert soa.choose_subtree(q.lo, q.hi) == _oracle_choose(rects, q)
+    union = _union_bounds(soa.union_rect)
+    expected = _union_bounds(lambda: Rect.union_all(rects)) if rects else None
+    if isinstance(expected, tuple):
+        assert _same_floats(union, expected)
+    else:
+        assert union is expected
+
+
 def _oracle_choose(rects, q):
-    """Guttman's ChooseLeaf as the object path ran it (first-wins ties)."""
+    """Guttman's ChooseLeaf as a per-entry loop (first-wins ties)."""
     best = -1
     best_enl = INF
     best_area = INF
@@ -76,10 +113,7 @@ def _oracle_choose(rects, q):
 @settings(max_examples=120, deadline=None)
 @given(st.lists(raw_rect, max_size=30), raw_rect)
 def test_scans_agree_on_arbitrary_buffers_small(rects, q):
-    soa = _pack(rects)
-    assert soa.intersecting_indices(q.lo, q.hi) == _oracle_intersecting(rects, q)
-    assert soa.containing_point_indices(q.lo) == _oracle_containing(rects, q.lo)
-    assert soa.choose_subtree(q.lo, q.hi) == _oracle_choose(rects, q)
+    _assert_scans_agree(rects, q)
 
 
 @settings(max_examples=40, deadline=None)
@@ -88,28 +122,7 @@ def test_scans_agree_on_arbitrary_buffers_small(rects, q):
     raw_rect,
 )
 def test_scans_agree_on_arbitrary_buffers_vectorized(rects, q):
-    soa = _pack(rects)
-    assert soa.intersecting_indices(q.lo, q.hi) == _oracle_intersecting(rects, q)
-    assert soa.containing_point_indices(q.lo) == _oracle_containing(rects, q.lo)
-    assert soa.choose_subtree(q.lo, q.hi) == _oracle_choose(rects, q)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(valid_rect, min_size=1, max_size=90), valid_rect)
-def test_soa_matches_object_container(rects, q):
-    """The two registered layouts are interchangeable scan for scan."""
-    soa = _pack(rects)
-    obj = ObjectEntries()
-    for child, rect in enumerate(rects):
-        obj.append(Entry(rect, child))
-    assert soa.intersecting_indices(q.lo, q.hi) == obj.intersecting_indices(
-        q.lo, q.hi
-    )
-    assert soa.choose_subtree(q.lo, q.hi) == obj.choose_subtree(q.lo, q.hi)
-    assert soa.containing_point_indices(q.lo) == obj.containing_point_indices(
-        q.lo
-    )
-    assert soa.union_rect() == obj.union_rect() == Rect.union_all(rects)
+    _assert_scans_agree(rects, q)
 
 
 # -- deterministic edge cases ------------------------------------------------
@@ -168,7 +181,7 @@ def test_nan_rects_fall_through_identically():
             rects, q
         )
         assert soa.choose_subtree(q.lo, q.hi) == _oracle_choose(rects, q)
-        # An all-NaN node picks nobody, exactly like the object loop.
+        # An all-NaN node picks nobody, exactly like the per-entry loop.
         all_nan = _pack([Rect._make((nan, nan), (nan, nan))] * n)
         assert all_nan.choose_subtree(q.lo, q.hi) == -1
 
@@ -185,37 +198,22 @@ def test_choose_subtree_first_wins_ties():
 # -- kNN distance kernels ----------------------------------------------------
 
 
-def _same_floats(a, b):
-    """Element-wise bit equality, NaN matching NaN."""
-    return len(a) == len(b) and all(
-        x == y or (x != x and y != y) for x, y in zip(a, b)
-    )
-
-
-def _pack_object(rects):
-    obj = ObjectEntries()
-    for child, rect in enumerate(rects):
-        obj.append(Entry(rect, child))
-    return obj
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(raw_rect, max_size=30),
     st.tuples(coord, coord),
 )
-def test_distance_kernels_agree_across_layouts(rects, point):
+def test_distance_kernels_match_rect_methods(rects, point):
     """``min_distances`` is ``Rect.min_distance`` and ``point_distances`` is
-    ``math.dist`` to the entry's ``lo`` corner, on both layouts, bit for
-    bit -- NaN and infinite coordinates included."""
+    ``math.dist`` to the entry's ``lo`` corner, bit for bit -- NaN and
+    infinite coordinates included."""
     soa = _pack(rects)
-    obj = _pack_object(rects)
-    bounds = [r.min_distance(point) for r in rects]
-    assert _same_floats(soa.min_distances(point), bounds)
-    assert _same_floats(obj.min_distances(point), bounds)
-    dists = [math.dist(point, r.lo) for r in rects]
-    assert _same_floats(soa.point_distances(point), dists)
-    assert _same_floats(obj.point_distances(point), dists)
+    assert _same_floats(
+        soa.min_distances(point), [r.min_distance(point) for r in rects]
+    )
+    assert _same_floats(
+        soa.point_distances(point), [math.dist(point, r.lo) for r in rects]
+    )
 
 
 def test_distance_kernels_on_edge_rects():
@@ -227,16 +225,14 @@ def test_distance_kernels_on_edge_rects():
         Rect._make((nan, 1.0), (nan, 2.0)),  # NaN x: counts as in range
         Rect._make((nan, nan), (nan, nan)),
     ]
+    soa = _pack(rects)
     for point in [(10.0, 5.0), (0.0, 0.0), (nan, 3.0)]:
-        for container in (_pack(rects), _pack_object(rects)):
-            assert _same_floats(
-                container.min_distances(point),
-                [r.min_distance(point) for r in rects],
-            )
-            assert _same_floats(
-                container.point_distances(point),
-                [math.dist(point, r.lo) for r in rects],
-            )
+        assert _same_floats(
+            soa.min_distances(point), [r.min_distance(point) for r in rects]
+        )
+        assert _same_floats(
+            soa.point_distances(point), [math.dist(point, r.lo) for r in rects]
+        )
     assert _pack(rects).min_distances((10.0, 5.0))[:3] == [5.0, 9.486832980505138, 0.0]
 
 
@@ -246,10 +242,6 @@ def test_distance_kernels_generic_dimension():
         Rect((4.0, 4.0, 4.0), (4.0, 4.0, 4.0)),
     ]
     point = (2.0, -1.0, 5.0)
-    for container in (_pack(rects), _pack_object(rects)):
-        assert container.min_distances(point) == [
-            r.min_distance(point) for r in rects
-        ]
-        assert container.point_distances(point) == [
-            math.dist(point, r.lo) for r in rects
-        ]
+    soa = _pack(rects)
+    assert soa.min_distances(point) == [r.min_distance(point) for r in rects]
+    assert soa.point_distances(point) == [math.dist(point, r.lo) for r in rects]

@@ -1,11 +1,14 @@
-"""Differential parity: the SoA layout must be invisible (PR 7).
+"""Golden node-layout outputs, and the process pool's shared-memory transport.
 
-Runs the same deterministic trace through both registered entry layouts
-(``soa`` and ``object``, switched via ``set_default_layout``) and demands
-exact equality everywhere an observer could look: query result sequences,
-per-category I/O ledgers (0.000% delta -- the counters are integers, so
-"within tolerance" means equal), and canonical snapshot documents byte for
-byte.  Inline engines and a process-mode worker pool are both exercised.
+Runs one deterministic insert/move/delete/query script through the rtree,
+lazy, alpha and LSM engines inline, and through a two-shard process pool,
+and pins what an observer could look at: the query result sequence, the
+per-category I/O ledger and the canonical snapshot document.  The
+constants were recorded before the per-entry reference node layout was
+deleted, with the packed and the per-entry layouts both run on this
+script and giving identical values; they are that agreement, frozen.  A
+change to how a node stores or scans its entries must reproduce them
+exactly.
 
 Also unit-tests the shared-memory transport underneath the process pool:
 transport selection, the forced-pipe override, the oversize->pipe payload
@@ -14,6 +17,7 @@ detour, and the unavailability error.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing as mp
 import os
@@ -27,7 +31,6 @@ from repro.engine.registry import IndexOptions, make_index
 from repro.parallel import shm
 from repro.parallel.shm import shm_available
 from repro.parallel.workers import ProcessWorker, WorkerFailure
-from repro.rtree.node import default_layout, set_default_layout
 from repro.storage.iostats import IOCategory
 from repro.storage.pager import Pager
 from repro.storage.snapshot import build_document
@@ -96,101 +99,126 @@ def _replay(index, ops, stats, kind=None):
     return results
 
 
-@pytest.fixture
-def restore_layout():
-    prev = default_layout()
-    yield
-    set_default_layout(prev)
+#: Recorded with both node layouts run on these scripts: the packed and
+#: the per-entry layout produced exactly these values.
+GOLDEN = {
+    IndexKind.RTREE: {
+        "ledger": {
+            "other": {"reads": 0, "writes": 1, "total": 1},
+            "query": {"reads": 188, "writes": 0, "total": 188},
+            "update": {"reads": 1845, "writes": 1165, "total": 3010},
+        },
+        "results_sha256": "2b9586005ecc7bebc4f7104a788d22d18f71e9fe5bea0273649279a2adca39a9",
+        "snapshot_sha256": "6d722591a19f1da4dfe632686e08dad60325cf9625eda264143b45a1b64ca39d",
+    },
+    IndexKind.LAZY: {
+        "ledger": {
+            "other": {"reads": 0, "writes": 1, "total": 1},
+            "query": {"reads": 225, "writes": 0, "total": 225},
+            "update": {"reads": 1613, "writes": 1061, "total": 2674},
+        },
+        "results_sha256": "17849a1b46e106a44376f3063d73456441c5c73cc190ca9e793d593a0c69204c",
+        "snapshot_sha256": "b28992cd5c9b2c0642f5dbe2e47d5d671869b3d95102583d8f6c1f60252c2af1",
+    },
+    IndexKind.ALPHA: {
+        "ledger": {
+            "other": {"reads": 0, "writes": 1, "total": 1},
+            "query": {"reads": 270, "writes": 0, "total": 270},
+            "update": {"reads": 1615, "writes": 1107, "total": 2722},
+        },
+        "results_sha256": "32a71c851b336a4abf7cd31016162290ef55d5ea25acb74a00eefc816273041a",
+        "snapshot_sha256": "ff46a471a5310ff09e7845a31a7571b7c1daacbdda7c73aabbb72ade7f58a438",
+    },
+    IndexKind.LSM: {
+        "ledger": {
+            "query": {"reads": 226, "writes": 0, "total": 226},
+            "update": {"reads": 353, "writes": 462, "total": 815},
+        },
+        "results_sha256": "879ac5eb8dddcff7e6793de35c1c126f56e76da1f031c916a687f8fb4c720140",
+        "snapshot_sha256": "fe98675e3748ba4dbc2483de72c9630e7ee054141e38fbb4cf153a5c4f6bd929",
+    },
+    # Two lazy shards on the process pool, over ``_trace(n=40, rounds=2)``.
+    "process": {
+        "ledger": {
+            "other": {"reads": 0, "writes": 2, "total": 2},
+            "query": {"reads": 93, "writes": 0, "total": 93},
+            "update": {"reads": 580, "writes": 472, "total": 1052},
+        },
+        "results_sha256": "6b812a3371293adaf6cb1d5940132a2358e4203640951df68bdfaac22146f2c9",
+    },
+}
 
 
-def _run_inline(kind, layout, ops, **options):
-    prev = set_default_layout(layout)
-    try:
-        pager = Pager()
-        index = make_index(kind, pager, DOMAIN, max_entries=5, **options)
-        results = _replay(index, ops, pager.stats, kind=kind)
-        ledger = pager.stats.to_dict()
-        doc = json.dumps(build_document(index), sort_keys=True)
-    finally:
-        set_default_layout(prev)
-    return results, ledger, doc
+def _sha256(value) -> str:
+    return hashlib.sha256(
+        json.dumps(value, sort_keys=True).encode()
+    ).hexdigest()
+
+
+def _run_inline(kind, ops, **options):
+    """Replay ``ops`` on one inline index; returns (observed, snapshot)."""
+    pager = Pager()
+    index = make_index(kind, pager, DOMAIN, max_entries=5, **options)
+    results = _replay(index, ops, pager.stats, kind=kind)
+    document = build_document(index)
+    observed = {
+        "ledger": pager.stats.to_dict(),
+        "results_sha256": _sha256(results),
+        "snapshot_sha256": _sha256(document),
+    }
+    return observed, document
 
 
 @pytest.mark.parametrize("kind", [IndexKind.RTREE, IndexKind.LAZY, IndexKind.ALPHA])
-def test_inline_layout_parity(kind, restore_layout):
-    ops = _trace()
-    soa = _run_inline(kind, "soa", ops)
-    obj = _run_inline(kind, "object", ops)
-    assert soa[0] == obj[0], "query result sequences diverged"
-    assert soa[1] == obj[1], "I/O ledgers diverged"
-    assert soa[2] == obj[2], "snapshot documents diverged"
+def test_inline_layout_parity(kind):
+    """Each inline engine reproduces what both node layouts produced."""
+    observed, _ = _run_inline(kind, _trace())
+    assert observed == GOLDEN[kind]
 
 
-def test_lsm_layout_parity(restore_layout):
+def test_lsm_layout_parity():
     """The LSM's flush and merge fill leaves from columns and read them back
-    as columns; the per-entry container must give the same trees.  Sized so
-    the trace flushes ~35 times and merges in every tier."""
-    ops = _trace()
+    as columns.  Sized so the trace flushes ~35 times and merges in every
+    tier."""
     knobs = dict(lsm_memtable=8, lsm_size_ratio=2, lsm_max_runs=4)
-    soa = _run_inline(IndexKind.LSM, "soa", ops, **knobs)
-    obj = _run_inline(IndexKind.LSM, "object", ops, **knobs)
-    assert soa[0] == obj[0], "query result sequences diverged"
-    assert soa[1] == obj[1], "I/O ledgers diverged"
-    assert soa[2] == obj[2], "snapshot documents diverged"
-    document = json.loads(soa[2])
+    observed, document = _run_inline(IndexKind.LSM, _trace(), **knobs)
+    assert observed == GOLDEN[IndexKind.LSM]
     assert len(document["index"]["runs"]) > 1
     assert any(run["tombstones"] for run in document["index"]["runs"])
 
 
 def _ledger_bytes(ledger) -> bytes:
-    """Canonical serialized form: parity must hold byte-for-byte, not just
-    under ``==`` (which would tolerate e.g. int/float drift in counters)."""
+    """Canonical serialized form: the ledger must match byte-for-byte, not
+    just under ``==`` (which would tolerate e.g. int/float drift in counters)."""
     return json.dumps(ledger, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _run_parallel(layout, ops, mode, **kwargs):
-    prev = set_default_layout(layout)
+def _run_parallel(ops, mode):
+    index = ShardedIndex(IndexKind.LAZY, DOMAIN, 2, mode=mode, max_entries=5)
     try:
-        index = ShardedIndex(
-            IndexKind.LAZY, DOMAIN, 2, mode=mode, max_entries=5, **kwargs
-        )
-        try:
-            results = _replay(index, ops, index.pager.stats)
-            ledger = index.pager.stats.to_dict()
-        finally:
-            index.close()
+        results = _replay(index, ops, index.pager.stats)
+        ledger = index.pager.stats.to_dict()
     finally:
-        set_default_layout(prev)
+        index.close()
     return results, ledger
 
 
-def test_process_pool_layout_parity(restore_layout):
-    """Process workers fork after set_default_layout, so each pool runs
-    entirely on one layout; results and ledgers must still match -- and
-    the ledgers byte-identically, across the hoisted-header command
-    framing the process transport uses."""
-    ops = _trace(n=40, rounds=2)
-    soa = _run_parallel("soa", ops, "process")
-    obj = _run_parallel("object", ops, "process")
-    assert soa[0] == obj[0]
-    assert _ledger_bytes(soa[1]) == _ledger_bytes(obj[1])
+def test_process_pool_layout_parity():
+    """The process pool's results and ledger, the ledger byte for byte
+    across the hoisted-header command framing the process transport uses."""
+    results, ledger = _run_parallel(_trace(n=40, rounds=2), "process")
+    assert _sha256(results) == GOLDEN["process"]["results_sha256"]
+    assert _ledger_bytes(ledger) == _ledger_bytes(GOLDEN["process"]["ledger"])
 
 
-def test_process_pool_matches_inline(restore_layout):
-    """The parallel SoA run against the inline object run: the full
-    cross-product rail (layout x execution mode) holds."""
+def test_process_pool_matches_inline():
+    """The process pool against the inline executor over the same shards:
+    same result sequences, byte-identical ledgers."""
     ops = _trace(n=40, rounds=2)
-    par = _run_parallel("soa", ops, "process")
-    pager = Pager()
-    prev = set_default_layout("object")
-    try:
-        index = make_index(IndexKind.LAZY, pager, DOMAIN, max_entries=5)
-        inline_results = _replay(index, ops, pager.stats, kind=IndexKind.LAZY)
-    finally:
-        set_default_layout(prev)
-    # Shard fan-out merges in shard-id order == inline insertion-order
-    # routing, so even the result *sequences* agree, not just the sets.
-    assert [sorted(r) for r in par[0]] == [sorted(r) for r in inline_results]
+    par = _run_parallel(ops, "process")
+    inline = _run_parallel(ops, "inline")
+    assert par[0] == inline[0]
+    assert _ledger_bytes(par[1]) == _ledger_bytes(inline[1])
 
 
 # -- shared-memory transport unit tests --------------------------------------
