@@ -71,8 +71,22 @@ class DataPage(Page):
         return self.records.pop(obj_id, None)
 
     def matches(self, rect: Rect) -> List[Tuple[int, Point]]:
-        """Records whose point falls inside the closed rectangle."""
-        return [(oid, pt) for oid, pt in self.records.items() if rect.contains_point(pt)]
+        """Records whose point falls inside the closed rectangle, in record
+        order.  2-D compares coordinates inline (``Rect.contains_point``'s
+        own test); other dimensions call the method."""
+        lo = rect.lo
+        hi = rect.hi
+        if len(lo) != 2:
+            return [
+                (oid, pt) for oid, pt in self.records.items() if rect.contains_point(pt)
+            ]
+        l0, l1 = lo
+        h0, h1 = hi
+        return [
+            (oid, pt)
+            for oid, pt in self.records.items()
+            if l0 <= pt[0] <= h0 and l1 <= pt[1] <= h1
+        ]
 
     def __len__(self) -> int:
         return len(self.records)

@@ -160,24 +160,56 @@ class ShardIOStats(IOStats):
     ``IOStats.category`` scope entered on either object attributes both
     ledgers identically -- per-shard and merged figures always agree on
     update/query/build attribution.
+
+    A ledger re-resolves its cached counter only when *its own* scopes open
+    or close, and either ledger may push onto the one stack.  So the shard
+    ledger caches no category: its resolved counter is a :class:`_Mirror`
+    that reads the stack top at each charge and charges that category in
+    both ledgers.  In turn, a scope opened, closed or reset here
+    re-resolves the engine ledger's cached counter, keeping its own charges
+    on the active category.
     """
 
     def __init__(self, shared: IOStats) -> None:
-        super().__init__()
         self._shared = shared
+        super().__init__()
         self._stack = shared._stack  # shared category scope (by reference)
+        self._active = _Mirror(self, shared)
 
-    def record_read(self, count: int = 1) -> None:
-        super().record_read(count)
-        self._shared.record_read(count)
-
-    def record_write(self, count: int = 1) -> None:
-        super().record_write(count)
-        self._shared.record_write(count)
+    def _resolve(self) -> None:
+        self._shared._resolve()
 
     def charge(self, name: str, reads: int, writes: int) -> None:
         super().charge(name, reads, writes)
         self._shared.charge(name, reads, writes)
+
+
+class _Mirror:
+    """:class:`ShardIOStats`' resolved counter.
+
+    Like ``iostats._Unlisted`` it reads as zero, so ``+= n`` hands its
+    setter exactly ``n``; the setter charges ``n`` to the category on top of
+    the shared stack in the shard ledger and in the engine ledger.
+    """
+
+    __slots__ = ("_shard", "_shared")
+
+    def __init__(self, shard: IOStats, shared: IOStats) -> None:
+        self._shard = shard
+        self._shared = shared
+
+    def _add_reads(self, count: int) -> None:
+        name = self._shard._stack[-1]
+        self._shard._counter(name).reads += count
+        self._shared._counter(name).reads += count
+
+    def _add_writes(self, count: int) -> None:
+        name = self._shard._stack[-1]
+        self._shard._counter(name).writes += count
+        self._shared._counter(name).writes += count
+
+    reads = property(lambda self: 0, _add_reads)
+    writes = property(lambda self: 0, _add_writes)
 
 
 class WorkerFailure(RuntimeError):

@@ -85,13 +85,16 @@ class HashIndex:
 
     def get(self, obj_id: int) -> Optional[PageId]:
         """The data-page pointer for ``obj_id``; one page read."""
-        bucket_no, slot = self._locate(obj_id)
-        pid = self._buckets.get(bucket_no)
+        # ``_locate`` inlined: this is every update's first page access.
+        if obj_id < 0:
+            raise ValueError(f"object ids must be non-negative, got {obj_id}")
+        per_bucket = self.entries_per_bucket
+        pid = self._buckets.get(obj_id // per_bucket)
         if pid is None:
             return None
         page = self._pager.read(pid)
         assert isinstance(page, BucketPage)
-        return page.slots[slot]
+        return page.slots[obj_id % per_bucket]
 
     def get_many(self, obj_ids: Sequence[int]) -> List[Optional[PageId]]:
         """The pointers for ``obj_ids`` in request order, coalescing I/O per
@@ -122,11 +125,15 @@ class HashIndex:
 
     def set(self, obj_id: int, data_pid: PageId) -> None:
         """Point ``obj_id`` at ``data_pid``; one read plus one write."""
-        bucket_no, slot = self._locate(obj_id)
-        page = self._bucket_for_write(bucket_no)
-        if page.slots[slot] is None:
+        if obj_id < 0:
+            raise ValueError(f"object ids must be non-negative, got {obj_id}")
+        per_bucket = self.entries_per_bucket
+        page = self._bucket_for_write(obj_id // per_bucket)
+        slots = page.slots
+        slot = obj_id % per_bucket
+        if slots[slot] is None:
             self._count += 1
-        page.slots[slot] = data_pid
+        slots[slot] = data_pid
         self._pager.write(page)
 
     def set_many(self, entries: Iterable[Tuple[int, PageId]]) -> None:

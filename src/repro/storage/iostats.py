@@ -74,19 +74,33 @@ class IOStats:
     1
 
     Work performed outside any scope is attributed to ``IOCategory.OTHER``.
+
+    A charge is one attribute increment on :attr:`_active`, the counter the
+    top of the stack resolves to.  It is re-resolved whenever that can
+    change -- a scope opens or closes, or the ledger is reset -- never per
+    charge.  Until a category is first charged it resolves to an
+    :class:`_Unlisted` stand-in, so reports still list only categories that
+    were charged or asked for by name.
     """
 
     def __init__(self) -> None:
         self._counters: Dict[str, IOCounter] = {}
         self._stack = [IOCategory.OTHER]
+        self._resolve()
+
+    def _resolve(self) -> None:
+        """Point :attr:`_active` at the counter the stack top charges."""
+        name = self._stack[-1]
+        counter = self._counters.get(name)
+        self._active = counter if counter is not None else _Unlisted(self, name)
 
     # -- recording -------------------------------------------------------
 
     def record_read(self, count: int = 1) -> None:
-        self._counter(self._stack[-1]).reads += count
+        self._active.reads += count
 
     def record_write(self, count: int = 1) -> None:
-        self._counter(self._stack[-1]).writes += count
+        self._active.writes += count
 
     def charge(self, name: str, reads: int, writes: int) -> None:
         """Credit ``reads``/``writes`` directly to category ``name``.
@@ -106,10 +120,12 @@ class IOStats:
     def category(self, name: str) -> Iterator[None]:
         """Attribute all I/O inside the block to ``name``."""
         self._stack.append(name)
+        self._resolve()
         try:
             yield
         finally:
             self._stack.pop()
+            self._resolve()
 
     @property
     def active_category(self) -> str:
@@ -163,6 +179,7 @@ class IOStats:
 
     def reset(self) -> None:
         self._counters.clear()
+        self._resolve()
 
     def __repr__(self) -> str:
         parts = ", ".join(
@@ -170,3 +187,35 @@ class IOStats:
             for name, counter in sorted(self._counters.items())
         )
         return f"IOStats({parts})"
+
+
+class _Unlisted:
+    """The resolved counter of a category nothing has charged yet.
+
+    It reads as zero, so ``+= n`` hands its setter exactly ``n``.  The first
+    charge lists the category's real counter in the ledger, adds ``n`` to it
+    and makes it the ledger's resolved counter; every later charge in the
+    scope is a plain increment on that counter.
+    """
+
+    __slots__ = ("_stats", "_name")
+
+    def __init__(self, stats: IOStats, name: str) -> None:
+        self._stats = stats
+        self._name = name
+
+    def _list(self) -> IOCounter:
+        stats = self._stats
+        counter = stats._counter(self._name)
+        if stats._active is self:
+            stats._active = counter
+        return counter
+
+    def _add_reads(self, count: int) -> None:
+        self._list().reads += count
+
+    def _add_writes(self, count: int) -> None:
+        self._list().writes += count
+
+    reads = property(lambda self: 0, _add_reads)
+    writes = property(lambda self: 0, _add_writes)

@@ -52,13 +52,13 @@ class Pager:
 
     def allocate(self, page: Page) -> PageId:
         """Assign a fresh page id to ``page``, store it, and charge one write."""
-        if page.is_allocated:
+        if page.pid != NO_PAGE:
             raise ValueError(f"page already allocated with pid={page.pid}")
         pid = self._next_pid
         self._next_pid += 1
         page.pid = pid
         self._pages[pid] = page
-        self.stats.record_write()
+        self.stats._active.writes += 1
         return pid
 
     def free(self, pid: PageId) -> None:
@@ -70,6 +70,9 @@ class Pager:
         self._freed += 1
 
     # -- charged access --------------------------------------------------
+    # Each charge is one increment on the ledger's resolved counter
+    # (``IOStats._active``), the body of ``IOStats.record_read`` /
+    # ``record_write`` without the call.
 
     def read(self, pid: PageId) -> Page:
         """Fetch a page; charges one read."""
@@ -77,14 +80,15 @@ class Pager:
             page = self._pages[pid]
         except KeyError:
             raise PageNotAllocatedError(pid) from None
-        self.stats.record_read()
+        self.stats._active.reads += 1
         return page
 
     def write(self, page: Page) -> None:
         """Persist a (mutated) page; charges one write."""
-        if not page.is_allocated or page.pid not in self._pages:
+        # An unallocated page's ``NO_PAGE`` id is never a key.
+        if page.pid not in self._pages:
             raise PageNotAllocatedError(page.pid)
-        self.stats.record_write()
+        self.stats._active.writes += 1
 
     # -- uncharged access ------------------------------------------------
 

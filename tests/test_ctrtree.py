@@ -84,6 +84,20 @@ class TestInsert:
         page = pager.inspect(pid)
         assert page.tolerance == small
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_area_ties_go_to_the_first_region_located(self, dim):
+        """Twelve identical regions over three levels: the point's region is
+        the first one the depth-first locate reaches (last child first,
+        leaf entries in order), region 4 -- as it always was."""
+        rect = Rect((0.0,) * dim, (10.0,) * dim)
+        domain = Rect((-100.0,) * dim, (100.0,) * dim)
+        tree = CTRTree(Pager(), domain, [rect] * 12, max_entries=4)
+        assert tree.height == 3
+        first = next(qs.region_id for _, qs in tree.iter_qs_entries())
+        for oid in range(3):
+            pid = tree.insert(oid, (5.0,) * dim)
+            assert tree.pager.inspect(pid).owner[2] == first == 4
+
     def test_insert_outside_regions_goes_to_buffer(self, tree, pager):
         pid = tree.insert(1, (130.0, 130.0))  # in the gap between regions
         page = pager.inspect(pid)

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.engine.sharded import ShardIOStats
 from repro.storage.iostats import IOCategory, IOCounter, IOStats
+from repro.storage.page import RawPage
+from repro.storage.pager import Pager
 
 
 class TestIOCounter:
@@ -144,3 +147,174 @@ class TestIOStats:
         stats.record_read(5)
         stats.record_write(3)
         assert stats.total() == 8
+
+
+class TestLedgerSemantics:
+    """What a charge lands on, whatever happened to the scope stack since it
+    was last read: resets, exceptions, never-charged scopes, and the shard
+    ledgers that share their stack with the engine ledger."""
+
+    def test_reset_inside_an_open_scope_keeps_charging_that_scope(self):
+        stats = IOStats()
+        pager = Pager(stats=stats)
+        pid = pager.allocate(RawPage())
+        with stats.category(IOCategory.UPDATE):
+            pager.read(pid)
+            stale = stats.live(IOCategory.UPDATE)
+            stats.reset()
+            pager.read(pid)
+            stats.record_write(2)
+        assert stats.to_dict() == {"update": {"reads": 1, "writes": 2, "total": 3}}
+        # A counter handed out before the reset is detached, not revived.
+        assert stale.total == 1
+        pager.read(pid)
+        assert stats.reads(IOCategory.OTHER) == 1
+
+    def test_reset_outside_any_scope(self):
+        stats = IOStats()
+        stats.record_read()
+        stats.reset()
+        stats.record_write()
+        assert stats.to_dict() == {"other": {"reads": 0, "writes": 1, "total": 1}}
+
+    def test_nested_scopes_unwind_through_an_exception(self):
+        stats = IOStats()
+        with pytest.raises(RuntimeError):
+            with stats.category(IOCategory.UPDATE):
+                stats.record_read()
+                with stats.category(IOCategory.QUERY):
+                    stats.record_read()
+                    with stats.category(IOCategory.BUILD):
+                        raise RuntimeError("boom")
+        assert stats.active_category == IOCategory.OTHER
+        stats.record_write()
+        assert stats.to_dict() == {
+            "other": {"reads": 0, "writes": 1, "total": 1},
+            "query": {"reads": 1, "writes": 0, "total": 1},
+            "update": {"reads": 1, "writes": 0, "total": 1},
+        }
+
+    def test_exception_caught_between_scopes_resumes_the_outer_one(self):
+        stats = IOStats()
+        with stats.category(IOCategory.UPDATE):
+            try:
+                with stats.category(IOCategory.QUERY):
+                    stats.record_read()
+                    raise KeyError("inner")
+            except KeyError:
+                pass
+            stats.record_write(3)
+        assert stats.writes(IOCategory.UPDATE) == 3
+        assert stats.writes(IOCategory.QUERY) == 0
+
+    def test_reports_list_only_charged_or_requested_categories(self):
+        stats = IOStats()
+        with stats.category(IOCategory.QUERY):
+            pass
+        with stats.category(IOCategory.UPDATE):
+            with stats.category(IOCategory.BUILD):
+                pass
+            stats.record_read()
+        assert list(stats.to_dict()) == ["update"]
+        assert list(stats.snapshot()) == ["update"]
+        assert repr(stats) == "IOStats(update=1r/0w)"
+        stats.live(IOCategory.QUERY)
+        stats.counter(IOCategory.BUILD)
+        assert list(stats.to_dict()) == ["build", "query", "update"]
+        assert stats.to_dict()["query"] == {"reads": 0, "writes": 0, "total": 0}
+
+    def test_snapshot_lists_categories_in_first_charge_order(self):
+        stats = IOStats()
+        with stats.category(IOCategory.UPDATE):
+            with stats.category(IOCategory.QUERY):
+                stats.record_read()
+            stats.record_write()
+        stats.record_read()
+        assert list(stats.snapshot()) == ["query", "update", "other"]
+
+    def test_a_zero_charge_still_lists_its_category(self):
+        stats = IOStats()
+        with stats.category(IOCategory.QUERY):
+            stats.record_read(0)
+        assert stats.to_dict() == {"query": {"reads": 0, "writes": 0, "total": 0}}
+
+    def test_live_counter_requested_inside_its_scope_is_the_charged_one(self):
+        stats = IOStats()
+        with stats.category(IOCategory.UPDATE):
+            live = stats.live(IOCategory.UPDATE)
+            stats.record_read()
+            stats.record_write()
+        assert live.total == 2
+        assert stats.live(IOCategory.UPDATE) is live
+
+
+class TestShardIOStats:
+    """A shard ledger mirrors each charge into the engine-wide ledger; both
+    attribute it to the category on top of their one shared stack."""
+
+    def _ledgers(self):
+        shared = IOStats()
+        return shared, ShardIOStats(shared), ShardIOStats(shared)
+
+    def test_scope_entered_on_the_shared_ledger(self):
+        shared, a, b = self._ledgers()
+        pager = Pager(stats=a)
+        pid = pager.allocate(RawPage())
+        with shared.category(IOCategory.QUERY):
+            pager.read(pid)
+            b.record_read(2)
+        assert a.to_dict() == {
+            "other": {"reads": 0, "writes": 1, "total": 1},
+            "query": {"reads": 1, "writes": 0, "total": 1},
+        }
+        assert b.to_dict() == {"query": {"reads": 2, "writes": 0, "total": 2}}
+        assert shared.to_dict() == {
+            "other": {"reads": 0, "writes": 1, "total": 1},
+            "query": {"reads": 3, "writes": 0, "total": 3},
+        }
+
+    def test_scope_entered_on_a_shard_ledger(self):
+        shared, a, b = self._ledgers()
+        with a.category(IOCategory.UPDATE):
+            a.record_write()
+            b.record_read()
+            # The engine ledger's own charges follow the shared stack too.
+            shared.record_read(4)
+        assert a.to_dict() == {"update": {"reads": 0, "writes": 1, "total": 1}}
+        assert b.to_dict() == {"update": {"reads": 1, "writes": 0, "total": 1}}
+        assert shared.to_dict() == {"update": {"reads": 5, "writes": 1, "total": 6}}
+        assert shared.active_category == a.active_category == IOCategory.OTHER
+
+    def test_scopes_interleaved_across_ledgers(self):
+        shared, a, b = self._ledgers()
+        with shared.category(IOCategory.UPDATE):
+            a.record_read()
+            with b.category(IOCategory.BUILD):
+                a.record_read()
+                shared.record_write()
+            a.record_write()
+            shared.record_write()
+        assert a.to_dict() == {
+            "build": {"reads": 1, "writes": 0, "total": 1},
+            "update": {"reads": 1, "writes": 1, "total": 2},
+        }
+        assert shared.to_dict() == {
+            "build": {"reads": 1, "writes": 1, "total": 2},
+            "update": {"reads": 1, "writes": 2, "total": 3},
+        }
+
+    def test_charge_lands_on_the_named_category_in_both(self):
+        shared, a, _b = self._ledgers()
+        with shared.category(IOCategory.QUERY):
+            a.charge(IOCategory.UPDATE, 2, 3)
+        assert a.to_dict() == {"update": {"reads": 2, "writes": 3, "total": 5}}
+        assert shared.to_dict() == a.to_dict()
+
+    def test_shard_reset_in_scope_leaves_the_shared_ledger(self):
+        shared, a, _b = self._ledgers()
+        with shared.category(IOCategory.UPDATE):
+            a.record_read()
+            a.reset()
+            a.record_read()
+        assert a.to_dict() == {"update": {"reads": 1, "writes": 0, "total": 1}}
+        assert shared.to_dict() == {"update": {"reads": 2, "writes": 0, "total": 2}}
