@@ -105,17 +105,24 @@ class HashIndex:
         bucket costs nothing and an unset slot yields ``None``.  Every id is
         validated before the first page is read.
         """
-        self._locate(min(obj_ids, default=0))  # rejects a negative id
         per_bucket = self.entries_per_bucket
         by_bucket: Dict[int, List[int]] = {}
         for position, obj_id in enumerate(obj_ids):
-            by_bucket.setdefault(obj_id // per_bucket, []).append(position)
+            bucket_no = obj_id // per_bucket
+            if bucket_no in by_bucket:
+                by_bucket[bucket_no].append(position)
+            elif bucket_no < 0:  # floor division: exactly the negative ids
+                raise ValueError(f"object ids must be non-negative, got {obj_id}")
+            else:
+                by_bucket[bucket_no] = [position]
         pointers: List[Optional[PageId]] = [None] * len(obj_ids)
+        directory = self._buckets
+        read = self._pager.read
         for bucket_no, positions in by_bucket.items():
-            pid = self._buckets.get(bucket_no)
+            pid = directory.get(bucket_no)
             if pid is None:
                 continue
-            page = self._pager.read(pid)
+            page = read(pid)
             assert isinstance(page, BucketPage)
             slots = page.slots
             first_id = bucket_no * per_bucket

@@ -14,12 +14,12 @@ bit (``tests/test_soa_kernels.py``).  The one opt-out is
 a plain python list because its leaf slots are
 :class:`~repro.core.qsregion.QSEntry` records, which have no packed form.
 
-The container presents a list-like surface (``append``/``pop``/indexing/
+The container presents a list-like surface (``append``/indexing/
 iteration/equality) so call sites that only iterate keep working;
 mutating sites in ``rtree.py``/``lazy.py`` use the explicit column API
-(``set_rect``, ``set_point``, ``find_child``...).  Indexing it yields a
-live :class:`EntryView` proxy whose attribute writes go straight through
-to the buffers.
+(``set_rect``, ``set_point``, ``delete_row``, ``find_child``...).
+Indexing it yields a live :class:`EntryView` proxy whose attribute writes
+go straight through to the buffers.
 
 Best-first kNN reads a whole node's bounds in one call:
 ``min_distances(point)`` gives every entry's ``Rect.min_distance`` (a
@@ -218,26 +218,27 @@ class SoAEntries:
 
     def append_packed(self, lo: Point, hi: Point, child: int) -> None:
         """Append already-canonical float bounds without building a Rect."""
-        self._ensure_dim(len(lo))
-        for d, col in enumerate(self.los):
-            col.append(lo[d])
-        for d, col in enumerate(self.his):
-            col.append(hi[d])
+        if len(lo) != self.dim:
+            self._ensure_dim(len(lo))
+        for col, coord in zip(self.los, lo):
+            col.append(coord)
+        for col, coord in zip(self.his, hi):
+            col.append(coord)
         self.children.append(child)
 
     def extend(self, entries: Iterable[EntryLike]) -> None:
         for entry in entries:
             self.append(entry)
 
-    def pop(self, i: int = -1) -> Entry:
-        i = self._index(i)
-        entry = Entry(self.rect_at(i), self.children[i])
+    def delete_row(self, i: int) -> None:
+        """Remove entry ``i`` (negative counts from the end) from every
+        column; nothing is built for it.  An index out of range raises
+        ``IndexError`` before any column changes."""
+        del self.children[i]
         for col in self.los:
             del col[i]
         for col in self.his:
             del col[i]
-        del self.children[i]
-        return entry
 
     def clear(self) -> None:
         for col in self.los:

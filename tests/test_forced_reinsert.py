@@ -69,6 +69,19 @@ class TestCorrectness:
         got = sorted(o for o, _ in tree.range_search(Rect((50, 0), (100, 10))))
         assert got == list(range(50, 101))
 
+    def test_kept_entry_outside_the_grandparent_grows_it(self):
+        """A forced reinsertion that keeps the point just placed must grow
+        every ancestor to cover it, not just the parent's entry: twelve
+        coincident points build a three-level tree whose branches all sit
+        on one spot, and the thirteenth lands beside them."""
+        tree = make_tree(max_entries=4, split="quadratic")
+        points = [(0.0, 0.0)] * 12 + [(1.0, 1.0)]
+        for oid, point in enumerate(points):
+            tree.insert(oid, point)
+        assert tree.height >= 3
+        assert tree.validate() == []
+        assert tree.search_point((1.0, 1.0)) == [12]
+
 
 class TestQuality:
     def test_reinsert_reduces_node_count_on_sorted_input(self):
