@@ -297,6 +297,36 @@ class TestApplyBatch:
         assert (tree.lazy_hits, tree.relocations) == (0, 0)
         assert tree.validate() == []
 
+    @pytest.mark.parametrize("dim, wrong", [(3, 2), (2, 3), (2, 1)])
+    def test_a_point_of_another_dimension_loses_no_object(self, dim, wrong, rng):
+        tree = LazyRTree(Pager(), max_entries=8)
+        points = {
+            oid: tuple(rng.uniform(0, 100) for _ in range(dim)) for oid in range(40)
+        }
+        for oid, point in points.items():
+            tree.insert(oid, point)
+        # Inside the leaf's MBR once truncated to the shorter point, and far
+        # outside it: the lazy test and the escapee path.
+        moves = [points[7][:wrong] + (50.0,) * (wrong - dim), (500.0,) * wrong]
+        for point in moves:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                tree.update(7, points[7], point)
+            writes = tree.pager.stats.writes()
+            escapee = PendingUpdate(
+                oid=3, old_point=points[3], point=(-50.0,) * dim, t=1.0, seq=1
+            )
+            move = PendingUpdate(oid=7, old_point=points[7], point=point, t=2.0, seq=2)
+            arrival = PendingUpdate(oid=99, old_point=None, point=point, t=2.0, seq=2)
+            # The escapee comes first, so a late failure would strand it.
+            for batch in ([move], [escapee, move], [escapee, arrival]):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    tree.apply_batch(batch)
+                assert tree.pager.stats.writes() == writes
+            assert len(tree) == 40
+            everywhere = Rect((-1e9,) * dim, (1e9,) * dim)
+            assert sorted(tree.range_search(everywhere)) == sorted(points.items())
+            assert verify_index(tree).ok
+
     def test_stale_pointer_mid_batch_loses_no_object(self, rng):
         tree, points = _build(LazyRTree, rng, 200)
         batch = [
