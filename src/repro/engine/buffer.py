@@ -15,9 +15,10 @@ ledgers):
 * a flush charges exactly the page accesses its apply makes, under whatever
   :class:`~repro.storage.iostats.IOStats` category is active at the caller
   (the driver flushes inside its UPDATE scope).  An index that takes the
-  batch whole (``apply_batch``) is charged once per visit for each page the
-  batch touches, with one page in hand at a time and nothing cached from one
-  batch to the next; an index without it is charged update by update;
+  batch whole (``apply_batch``) keeps the batch's pages in hand: each page
+  the batch touches is charged at most one read and at most one write (a
+  page a split allocates, one more), and nothing is kept from one batch to
+  the next; an index without it is charged update by update;
 * reads must not see stale data: the executor's contract is that callers
   flush before serving a query (the driver does), so a batched run returns
   the same query results as an unbatched one -- identical as sets; the
@@ -292,8 +293,11 @@ class UpdateBuffer:
 
         Batch dispatch: an index exposing ``apply_batch`` receives the whole
         sorted batch in one call and the per-update loop below is not used.
-        The lazy-R-tree and alpha-tree group the batch by page (one read per
-        hash bucket, one read and one write per touched leaf); the sharded
+        The lazy-R-tree and alpha-tree group the batch by page and hold the
+        pages it touches for the call: each is read at most once and written
+        at most once, when the batch ends (one read per hash bucket, one
+        read and one write per touched leaf, escapees' descents reading
+        only what the batch has not); the sharded
         router queues it per shard for its executor (one op at a time
         inline, concurrent sub-batches on a worker pool); the LSM's flush
         sink turns it into a run.

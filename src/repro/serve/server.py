@@ -32,6 +32,7 @@ guarantee the log-before-ack ordering pays for.
 from __future__ import annotations
 
 import asyncio
+import math
 import signal
 import threading
 import time
@@ -421,7 +422,16 @@ class ServeServer:
     @staticmethod
     def _parse_update(entry: Any) -> Tuple[int, Tuple[float, float], float]:
         oid, x, y, t = entry
-        return int(oid), (float(x), float(y)), float(t)
+        try:
+            pos = (float(x), float(y))
+            finite = math.isfinite(pos[0]) and math.isfinite(pos[1])
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            # Refused before the ack: the index rejects such a point, and an
+            # acked write the writer cannot apply would stop the daemon.
+            raise ValueError(f"point {entry[1:3]!r:.80} is not two finite floats")
+        return int(oid), pos, float(t)
 
     @staticmethod
     def _parse_stamp(message: Dict[str, Any]) -> Optional[Tuple[str, int]]:

@@ -1,8 +1,9 @@
 """The lazy-R-tree's I/O per update as a function of batch size, pinned.
 
-A batch is applied page by page (``LazyRTree.apply_batch``): one read per
-hash bucket, one read and one write per touched leaf.  The saving therefore
-grows with the batch, and an unbatched run pays the paper's full price.  One
+A batch is applied page by page (``LazyRTree.apply_batch``): each page it
+touches -- hash bucket, leaf, or a node an escapee's descent passes -- is
+read at most once and written at most once.  The saving therefore grows
+with the batch, and an unbatched run pays the paper's full price.  One
 fixed ``citysim`` trace is replayed behind ``UpdateBuffer`` at three batch
 sizes and unbuffered; the UPDATE ledgers are golden constants, so a refactor
 that quietly falls back to one ``update`` call per pending entry fails here
@@ -14,8 +15,9 @@ of the answers to a fixed list of range queries.  Beside the four lazy rows,
 an alpha-tree row pins the loose-MBR inflation, and 1-D and 3-D rows (the
 same trace, projected as in ``test_ct_golden.py``) pin the dimension-general
 code beside every 2-D fast path.  These digests were recorded before the
-batch path was rewritten for speed; an output-preserving change must
-reproduce them exactly.
+batch path was rewritten for speed, and held when the batch stopped
+re-reading its pages (only the ledgers fell); an output-preserving change
+must reproduce them exactly.
 """
 
 import hashlib
@@ -41,9 +43,9 @@ REPORT_INTERVAL_S = 20.0
 #: batch size (0 = no buffer, ``index.update`` per report) -> UPDATE ledger.
 GOLDEN = {
     0: {"reads": 20927, "writes": 11136},  # 4.008 per update
-    16: {"reads": 13871, "writes": 10102},  # 2.997
-    64: {"reads": 10139, "writes": 7850},  # 2.249
-    256: {"reads": 6248, "writes": 4341},  # 1.324
+    16: {"reads": 11396, "writes": 9514},  # 2.614
+    64: {"reads": 7121, "writes": 6802},  # 1.740
+    256: {"reads": 2736, "writes": 2729},  # 0.683
 }
 
 #: (kind, dim, batch) -> digests of what the replay leaves behind.  The
@@ -74,21 +76,21 @@ DIGESTS = {
         "snapshot_sha256": "01789ce1df08ba6d46f33c84ae2fedc7fbb527aa62cc3eba31c329ef4755f4ee",
     },
     ("alpha", 2, 64): {
-        "ledger": {"reads": 8925, "writes": 7028},
+        "ledger": {"reads": 6938, "writes": 6477},
         "lazy_hits": 7164,
         "relocations": 833,
         "results_sha256": "f90982f02f64f667302d51588fe804120cc80fe06d2655a73ee53aca53c2f967",
         "snapshot_sha256": "7c519398ea4fa0d4c9118270a5c0c640092a116cca8c5bccfa04b39fc2d70eeb",
     },
     ("lazy", 1, 64): {
-        "ledger": {"reads": 12903, "writes": 8728},
+        "ledger": {"reads": 7803, "writes": 7321},
         "lazy_hits": 5893,
         "relocations": 2104,
         "results_sha256": "cc4691ced61909247a8f4e79c8cf0a6d7a1930f67ee17ccb6ddde3df7cf3a8cb",
         "snapshot_sha256": "d7bef861da30f6040e48b4b53543855087728bd82b533a03430b265c55b0714f",
     },
     ("lazy", 3, 64): {
-        "ledger": {"reads": 10465, "writes": 8112},
+        "ledger": {"reads": 6996, "writes": 6764},
         "lazy_hits": 6657,
         "relocations": 1340,
         "results_sha256": "ac99397b5b57aafb90fd6cb697d8cba4ec603afc7463269882026aff774fe259",

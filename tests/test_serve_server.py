@@ -5,6 +5,7 @@ Each test boots a real daemon (``ServerThread`` on a background event loop,
 ephemeral port) and talks to it over TCP with the blocking client.
 """
 
+import math
 import struct
 import threading
 import time
@@ -86,6 +87,14 @@ def test_bad_requests_do_not_kill_the_daemon():
     try:
         with ServeClient(host, port) as client:
             assert client.request("update", oid=1)["code"] == "BAD_REQUEST"
+            # A point the index cannot hold is refused before it is acked.
+            for bad in ([math.nan, 1.0], [1.0, math.inf], [10**400, 1.0]):
+                response = client.request("update", oid=1, point=bad, t=0.4)
+                assert response["code"] == "BAD_REQUEST"
+            bad_batch = [[1, 2.0, 2.0, 0.4], [2, -math.inf, 2.0, 0.4]]
+            response = client.request("batch_update", updates=bad_batch)
+            assert response["code"] == "BAD_REQUEST"
+            assert service.acked == 0
             assert client.request("batch_update")["code"] == "BAD_REQUEST"
             assert (
                 client.request("range", rect=[[5, 5], [1, 1]])["code"]
@@ -261,11 +270,19 @@ def test_writer_batch_of_one_charges_what_update_does(target):
     with twin.store.stats.category(IOCategory.UPDATE):
         twin.index.update(7, old, new, now=1.0)
     direct = twin.store.stats.live(IOCategory.UPDATE)
-    assert (batched.reads, batched.writes) == (direct.reads, direct.writes)
     if target == "hit":
+        # Bucket read, leaf read and write: what ``update`` pays.
+        assert (batched.reads, batched.writes) == (direct.reads, direct.writes)
         assert (batched.reads, batched.writes) == (2, 1)
         assert service.index.lazy_hits == 1
     else:
+        # ``update`` reads the lone leaf again to re-insert and the bucket
+        # again to repoint, and writes the leaf twice; a batch reads each
+        # page once and writes each once.
+        assert service.index.tree.height == 1
+        assert (direct.reads, direct.writes) == (4, 3)
+        assert (batched.reads, batched.writes) == (2, 2)
+        assert batched.reads <= direct.reads and batched.writes <= direct.writes
         assert service.index.relocations == 1
     assert dict(service.query_range(DOMAIN.lo, DOMAIN.hi)) == service.positions
 
