@@ -14,11 +14,11 @@ ledgers):
   page-I/O metric does not count for in-place indexes either);
 * a flush charges exactly the page accesses its apply makes, under whatever
   :class:`~repro.storage.iostats.IOStats` category is active at the caller
-  (the driver flushes inside its UPDATE scope).  An index that takes the
-  batch whole (``apply_batch``) keeps the batch's pages in hand: each page
-  the batch touches is charged at most one read and at most one write (a
-  page a split allocates, one more), and nothing is kept from one batch to
-  the next; an index without it is charged update by update;
+  (the driver flushes inside its UPDATE scope).  The lazy family applies a
+  batch in one :class:`~repro.storage.pager.PageEpoch`: each page it
+  touches is charged at most one read and at most one write (a page a
+  split allocates, one more), nothing kept from one batch to the next; an
+  index without ``apply_batch`` is charged update by update;
 * reads must not see stale data: the executor's contract is that callers
   flush before serving a query (the driver does), so a batched run returns
   the same query results as an unbatched one -- identical as sets; the
@@ -293,14 +293,14 @@ class UpdateBuffer:
 
         Batch dispatch: an index exposing ``apply_batch`` receives the whole
         sorted batch in one call and the per-update loop below is not used.
-        The lazy-R-tree and alpha-tree group the batch by page and hold the
-        pages it touches for the call: each is read at most once and written
-        at most once, when the batch ends (one read per hash bucket, one
-        read and one write per touched leaf, escapees' descents reading
-        only what the batch has not); the sharded
-        router queues it per shard for its executor (one op at a time
-        inline, concurrent sub-batches on a worker pool); the LSM's flush
-        sink turns it into a run.
+        The lazy-R-tree and alpha-tree apply it page by page in one
+        :class:`~repro.storage.pager.PageEpoch`: each page is read and
+        written at most once (one read per hash bucket, one read and one
+        write per touched leaf, escapees' descents reading only what the
+        batch has not); the sharded router queues it per shard for its
+        executor (one op at a time inline, concurrent sub-batches on a
+        worker pool); the LSM's flush sink turns it into a run.  The
+        per-update loop below opens no epoch.
 
         The ``apply_batch`` contract: the batch arrives in ``(t, seq)``
         order; a provider that may also be handed an uncoalesced batch (the

@@ -103,9 +103,9 @@ class HashIndex:
         The read-side twin of :meth:`set_many`: ids sharing a bucket cost one
         read total.  An unallocated bucket costs nothing and an unset slot
         yields ``None``.  Every id is validated before the first page is
-        read.  Under a lazy-R-tree's batch the index reads through the
-        batch's page view, so a later :meth:`set_many` of the same batch
-        finds these buckets in hand and pays only their one write.
+        read.  In a lazy-R-tree's batch the store is in a ``PageEpoch``, so
+        a later :meth:`set_many` of the batch finds these buckets held and
+        pays only their one write.
         """
         per_bucket = self.entries_per_bucket
         by_bucket: Dict[int, List[int]] = {}

@@ -18,11 +18,10 @@ the scheme.
 
 Those are per-*page* costs, so a batch pays them per page, not per update.
 :meth:`LazyRTree.apply_batch` (what ``UpdateBuffer.flush`` and the serving
-daemon's writer call) runs the tree and the hash index over one batch-scoped
-view of their store (``_BatchPages``): **each page the batch touches is read
-at most once and written at most once**, its writes charged when the batch
-ends (on the error path too), and nothing is kept between batches.  For a
-batch of ``n`` moves that is:
+daemon's writer call) runs in a :class:`~repro.storage.pager.PageEpoch` on
+its store: **each page the batch touches is read at most once and written
+at most once**, its writes charged when the batch ends (on the error path
+too), and nothing is kept between batches.  For a batch of ``n`` moves:
 
 * **one read per distinct hash bucket** the ``n`` ids fall in;
 * **one read + one write per distinct leaf** they live in -- every same-MBR
@@ -63,8 +62,8 @@ from repro.core.geometry import Point, Rect
 from repro.hashindex import HashIndex
 from repro.rtree.node import RTreeNode
 from repro.rtree.rtree import RTree
-from repro.storage.page import Page, PageId
-from repro.storage.pager import Pager
+from repro.storage.page import PageId
+from repro.storage.pager import PageEpoch, Pager
 
 if TYPE_CHECKING:
     from repro.engine.buffer import PendingUpdate
@@ -95,67 +94,6 @@ def _not_finite(oid: int, point: Point) -> ValueError:
         f"object {oid}'s point has a coordinate that is not a finite float: "
         f"{point!r:.200}"
     )
-
-
-class _BatchPages:
-    """One batch's view of a page store: each page read at most once and
-    written at most once.
-
-    A page already fetched (or allocated) in the batch comes back with no
-    second ``read``; ``write`` only notes the page as dirty, and
-    :meth:`close` writes each dirty page once.  Freeing a dirty page charges
-    its deferred write first.  Every page the tree and the hash index write
-    they have read or allocated first, so these are the charges of a
-    :class:`~repro.storage.buffer_pool.BufferPool` that never evicts,
-    flushed when the batch ends.
-
-    ``held`` maps the id of each page in hand to the page, and ``fetch`` is
-    the store's own ``read``: a caller that knows a page is not held yet may
-    fetch it and file it in ``held`` itself, sparing the lookup ``read``
-    makes.  The store hands out one object per page, so a wrong guess costs
-    a second read charge, never a stale page.
-    """
-
-    __slots__ = ("_store", "fetch", "held", "_dirty", "write", "inspect", "contains")
-
-    def __init__(self, store: Pager) -> None:
-        self._store = store
-        self.fetch = store.read
-        self.held: Dict[PageId, Page] = {}
-        #: Dirty pages as keys, in first-write order.
-        self._dirty: Dict[Page, None] = {}
-        # ``write(page)`` is ``_dirty.setdefault(page)``: one C call that
-        # notes the page, once however often it is written.
-        self.write = self._dirty.setdefault
-        self.inspect = store.inspect
-        self.contains = store.contains
-
-    def read(self, pid: PageId) -> Page:
-        page = self.held.get(pid)
-        if page is None:
-            page = self.held[pid] = self.fetch(pid)
-        return page
-
-    def allocate(self, page: Page) -> PageId:
-        pid = self._store.allocate(page)
-        self.held[pid] = page
-        return pid
-
-    def free(self, pid: PageId) -> None:
-        page = self._store.inspect(pid)
-        if page in self._dirty:
-            del self._dirty[page]
-            self._store.write(page)
-        self.held.pop(pid, None)
-        self._store.free(pid)
-
-    def close(self) -> None:
-        """Write every dirty page once and forget the batch's pages."""
-        write = self._store.write
-        for page in self._dirty:
-            write(page)
-        self._dirty.clear()
-        self.held.clear()
 
 
 class LazyRTree:
@@ -204,6 +142,9 @@ class LazyRTree:
         self, obj_id: int, point: Sequence[float], now: Optional[float] = None
     ) -> PageId:
         del now  # interface parity with the CT-R-tree
+        point = tuple(point)
+        if not _finite(point):
+            raise _not_finite(obj_id, point)
         pid = self.tree.insert(obj_id, point)
         # The split callback may already have repointed obj_id; setting again
         # is idempotent and keeps the common (no-split) case simple.
@@ -279,9 +220,9 @@ class LazyRTree:
         tree: all same-MBR tests run against the leaves as the batch found
         them, before any escapee is re-inserted.
 
-        The tree and its hash index see their store through one
-        :class:`_BatchPages` for the call: a page is read at most once and
-        written at most once, when the batch ends.
+        The call runs in a :class:`~repro.storage.pager.PageEpoch` on the
+        tree's store (and the hash index's, if another): each page is read
+        and written at most once.
 
         A stale hash pointer (corruption ``verify_index`` reports) cannot be
         known before its leaf is read; it aborts the batch there with
@@ -313,25 +254,18 @@ class LazyRTree:
             oid = next(oid for oid, point in target.items() if not _finite(point))
             raise _not_finite(oid, target[oid])
 
-        hash_index = self.hash
-        store = tree._pager
-        hash_store = hash_index._pager
-        pages = _BatchPages(store)
-        hash_pages = pages if hash_store is store else _BatchPages(hash_store)
-        tree._pager = pages  # type: ignore[assignment]
-        hash_index._pager = hash_pages  # type: ignore[assignment]
-        try:
-            self._apply_moves(target, arrives, pages)
-        finally:
-            tree._pager = store
-            hash_index._pager = hash_store
-            pages.close()
-            if hash_pages is not pages:
-                hash_pages.close()
+        store = tree.pager
+        hash_store = self.hash._pager
+        with PageEpoch(store) as pages:
+            if hash_store is store:
+                self._apply_moves(target, arrives, pages)
+            else:
+                with PageEpoch(hash_store):
+                    self._apply_moves(target, arrives, pages)
         return len(batch)
 
     def _apply_moves(
-        self, target: Dict[int, Point], arrives: Set[int], pages: _BatchPages
+        self, target: Dict[int, Point], arrives: Set[int], pages: PageEpoch
     ) -> None:
         """The body of :meth:`apply_batch` over validated, coalesced moves."""
         tree = self.tree
@@ -348,7 +282,7 @@ class LazyRTree:
                 by_leaf[pid] = [move]
 
         # One visit per leaf, inlined: this loop is the batch's hot path.
-        # Nothing has read a leaf yet in this batch (only hash buckets), so
+        # Nothing has read a leaf yet in this epoch (only hash buckets), so
         # each is fetched from the store and filed in hand without the
         # lookup ``pages.read`` would make first.
         held = pages.held

@@ -22,7 +22,6 @@ nothing more, nothing less -- the same guarantee the batch driver gives.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.geometry import Point, Rect
@@ -76,9 +75,7 @@ class EngineService:
         self, positions: Mapping[int, Point], now: Optional[float] = None
     ) -> None:
         """Bulk-load current positions as BUILD I/O + baseline checkpoint."""
-        stats = getattr(self.store, "stats", None)
-        ctx = stats.category(IOCategory.BUILD) if stats else nullcontext()
-        with ctx:
+        with self.store.stats.category(IOCategory.BUILD):
             for oid, point in positions.items():
                 pos = tuple(point)
                 self.index.insert(oid, pos, now=now)
@@ -145,11 +142,9 @@ class EngineService:
 
     def apply(self, batch: Sequence[WriteOp]) -> int:
         """Apply acked ops in ack order.  Writer thread only."""
-        stats = getattr(self.store, "stats", None)
-        ctx = stats.category(IOCategory.UPDATE) if stats else nullcontext()
         applied = 0
         apply_batch = getattr(self.index, "apply_batch", None)
-        with ctx:
+        with self.store.stats.category(IOCategory.UPDATE):
             if apply_batch is not None:
                 pending = [
                     PendingUpdate(
@@ -175,15 +170,11 @@ class EngineService:
     def query_range(
         self, lo: Sequence[float], hi: Sequence[float]
     ) -> List[Tuple[int, Point]]:
-        stats = getattr(self.store, "stats", None)
-        ctx = stats.category(IOCategory.QUERY) if stats else nullcontext()
-        with ctx:
+        with self.store.stats.category(IOCategory.QUERY):
             return self.index.range_search(Rect(lo, hi))
 
     def query_knn(self, point: Sequence[float], k: int) -> List[Neighbor]:
-        stats = getattr(self.store, "stats", None)
-        ctx = stats.category(IOCategory.QUERY) if stats else nullcontext()
-        with ctx:
+        with self.store.stats.category(IOCategory.QUERY):
             return knn_search(self.index, point, k, self.domain)
 
     # -- snapshots / checkpoints -----------------------------------------
@@ -225,9 +216,7 @@ class EngineService:
             "applied": self.applied,
             "dedup": self.dedup.metrics_dict(),
         }
-        stats = getattr(self.store, "stats", None)
-        if stats is not None:
-            out["io"] = stats.to_dict()
+        out["io"] = self.store.stats.to_dict()
         if self.durability is not None:
             out["durability"] = self.durability.metrics_dict()
         return out

@@ -10,7 +10,7 @@ updates and queries".
 
 from repro.storage.iostats import IOCategory, IOCounter, IOStats
 from repro.storage.page import Page, PageId
-from repro.storage.pager import PageNotAllocatedError, Pager
+from repro.storage.pager import PageEpoch, PageNotAllocatedError, Pager
 from repro.storage.buffer_pool import BufferPool
 
 __all__ = [
@@ -18,6 +18,7 @@ __all__ = [
     "IOCounter",
     "IOStats",
     "Page",
+    "PageEpoch",
     "PageId",
     "Pager",
     "PageNotAllocatedError",

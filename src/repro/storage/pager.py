@@ -13,12 +13,13 @@ treated equally", Section 4.1).  The pager reproduces that accounting model:
 
 Structures that want to inspect pages without perturbing the experiment
 (tests, invariant checkers, debug dumps) use :meth:`Pager.inspect`, which is
-never charged.
+never charged.  In a :class:`PageEpoch` each page is charged at most once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from types import MethodType
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.storage.iostats import IOStats
 from repro.storage.page import NO_PAGE, Page, PageId
@@ -126,3 +127,77 @@ class Pager:
 
     def __repr__(self) -> str:
         return f"Pager(pages={self.page_count}, page_size={self.page_size})"
+
+
+class PageEpoch:
+    """``with PageEpoch(store):`` -- a block in which ``store`` charges each
+    page at most one read and one write.
+
+    ``read`` / ``write`` / ``allocate`` / ``free`` are rebound on the store
+    object (a :class:`Pager`, a ``BufferPool``, or a wrapper whose calls are
+    instance attributes) and restored on exit.  A page already read or
+    allocated comes back with no second ``read``; ``write`` marks a page
+    dirty, and each dirty page is written once on exit, on the error path
+    too; freeing a dirty page charges its write first.  Those are the
+    charges of a never-evicting ``BufferPool`` flushed on exit; a nested
+    epoch on the same store charges nothing more.  The handle keeps
+    ``held`` (page id -> page) and ``fetch`` (the store's own ``read``), so
+    a caller that knows a page is not held may fetch and file it itself.
+    """
+
+    __slots__ = ("_store", "_own", "fetch", "held", "write", "_dirty", "_write",
+                 "_allocate", "_free")
+
+    def __init__(self, store: Pager) -> None:
+        self._store = store
+
+    def __enter__(self) -> "PageEpoch":
+        store = self._store
+        calls = self.fetch, self._write, self._allocate, self._free = (
+            store.read, store.write, store.allocate, store.free
+        )
+        # A method bound to the store is its class's, uncovered on exit;
+        # anything else is the store's own attribute, put back.  Not read
+        # off ``vars(store)``: on CPython that turns the store's inline
+        # attributes into a dict, and every later call on it slows.
+        self._own: List[Tuple[str, object]] = []
+        for name, call in zip(("read", "write", "allocate", "free"), calls):
+            if type(call) is not MethodType or call.__self__ is not store:
+                self._own.append((name, call))
+        self.held: Dict[PageId, Page] = {}
+        #: Dirty pages as keys, in first-write order: ``write`` is its
+        #: ``setdefault``, one C call however often a page is written.
+        self._dirty: Dict[Page, None] = {}
+        store.write = self.write = self._dirty.setdefault
+        store.read = self.read
+        store.allocate = self.allocate
+        store.free = self.free
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        store = self._store
+        del store.read, store.write, store.allocate, store.free
+        for name, call in self._own:
+            setattr(store, name, call)
+        write = self._write
+        for page in self._dirty:
+            write(page)
+
+    def read(self, pid: PageId) -> Page:
+        page = self.held.get(pid)
+        if page is None:
+            page = self.held[pid] = self.fetch(pid)
+        return page
+
+    def allocate(self, page: Page) -> PageId:
+        pid = self._allocate(page)
+        self.held[pid] = page
+        return pid
+
+    def free(self, pid: PageId) -> None:
+        page = self._store.inspect(pid)
+        if page in self._dirty:
+            del self._dirty[page]
+            self._write(page)
+        self.held.pop(pid, None)
+        self._free(pid)

@@ -17,7 +17,9 @@ same trace, projected as in ``test_ct_golden.py``) pin the dimension-general
 code beside every 2-D fast path.  These digests were recorded before the
 batch path was rewritten for speed, and held when the batch stopped
 re-reading its pages (only the ledgers fell); an output-preserving change
-must reproduce them exactly.
+must reproduce them exactly.  Two pooled rows (lazy and alpha over a
+40-frame ``BufferPool``, recorded before the batch's page rule moved into
+``repro.storage``) pin what a batch costs through a cache that evicts.
 """
 
 import hashlib
@@ -31,6 +33,7 @@ from repro.core.geometry import Rect
 from repro.core.params import SimulationParams
 from repro.engine import FlushPolicy, UpdateBuffer, make_index
 from repro.health import verify_index
+from repro.storage import BufferPool
 from repro.storage.iostats import IOCategory
 from repro.storage.pager import Pager
 from repro.storage.snapshot import build_document
@@ -127,10 +130,13 @@ def trace():
     return city, CitySimulator(city, params, seed=1).run()
 
 
-def _replay(city, trace, batch, kind="lazy", dim=2):
+def _replay(city, trace, batch, kind="lazy", dim=2, frames=0):
+    """Replay the trace; with ``frames`` the index runs over a
+    ``BufferPool`` of that many frames, flushed as the UPDATE phase ends."""
     project = PROJECTIONS[dim]
     pager = Pager()
-    index = make_index(kind, pager, city.bounds)
+    store = BufferPool(pager, capacity=frames) if frames else pager
+    index = make_index(kind, store, city.bounds)
     positions = {
         oid: project(point) for oid, point in trace.current_positions(HISTORY).items()
     }
@@ -152,6 +158,8 @@ def _replay(city, trace, batch, kind="lazy", dim=2):
             reports += 1
         if buffer is not None:
             buffer.flush(index, "final")
+        if frames:
+            store.flush()
     # Index operations: a report superseded while it was pending never ran.
     applied = reports if buffer is None else buffer.stats.applied
     return index, pager.stats.counter(IOCategory.UPDATE), positions, reports, applied
@@ -174,9 +182,10 @@ def _queries(city, dim):
     return out
 
 
-def _digests(city, index, dim):
+def _digests(city, index, dim, document=None):
     answers = json.dumps([index.range_search(q) for q in _queries(city, dim)])
-    document = json.dumps(build_document(index), sort_keys=True)
+    if document is None:
+        document = json.dumps(build_document(index), sort_keys=True)
     return {
         "lazy_hits": index.lazy_hits,
         "relocations": index.relocations,
@@ -247,4 +256,58 @@ def test_every_digested_row_is_correct(trace, digested):
     assert sorted(index.range_search(domain)) == sorted(positions.items())
     assert index.lazy_hits + index.relocations == applied
     assert index.relocations > 0
+    assert verify_index(index).ok
+
+
+#: kind -> a batch-64 replay over ``BufferPool(pager, capacity=40)``: the
+#: UPDATE ledger (the pool flushed as the phase ends) and the pool's
+#: counters then, the load included.  The pool changes no decision, so the
+#: tree and the answers must be the unpooled batch-64 row's.
+POOLED = {
+    "lazy": {
+        "ledger": {"reads": 12448, "writes": 6841},
+        "pool": {"hits": 5137, "misses": 12612, "evictions": 12673, "dirty_writebacks": 7006},
+    },
+    "alpha": {
+        "ledger": {"reads": 11841, "writes": 6516},
+        "pool": {"hits": 5247, "misses": 11998, "evictions": 12057, "dirty_writebacks": 6674},
+    },
+}
+POOL_FRAMES = 40
+
+
+def _pooled_document(index, pager):
+    """``build_document`` names the pager's next page id, which a pool
+    does not show: document the index over its pool's pager."""
+    pool = index.pager
+    index.tree._pager = index.hash._pager = pager
+    try:
+        return json.dumps(build_document(index), sort_keys=True)
+    finally:
+        index.tree._pager = index.hash._pager = pool
+
+
+@pytest.mark.parametrize("kind", sorted(POOLED))
+def test_a_pooled_batch_is_golden(trace, kind):
+    city = trace[0]
+    index, counter, positions, _reports, applied = _replay(
+        *trace, 64, kind=kind, frames=POOL_FRAMES
+    )
+    pool = index.pager
+    assert isinstance(pool, BufferPool)
+    observed = {
+        "ledger": {"reads": counter.reads, "writes": counter.writes},
+        "pool": {
+            name: getattr(pool, name)
+            for name in ("hits", "misses", "evictions", "dirty_writebacks")
+        },
+    }
+    document = _pooled_document(index, pool._pager)
+    digests = _digests(city, index, 2, document)
+    assert observed == POOLED[kind]
+    unpooled = DIGESTS[(kind, 2, 64)]
+    for field in ("lazy_hits", "relocations", "results_sha256", "snapshot_sha256"):
+        assert digests[field] == unpooled[field], field
+    assert sorted(index.range_search(city.bounds)) == sorted(positions.items())
+    assert index.lazy_hits + index.relocations == applied
     assert verify_index(index).ok

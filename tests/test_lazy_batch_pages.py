@@ -1,14 +1,14 @@
 """The lazy family's batch page rule: a batch holds the pages it touches.
 
-``LazyRTree.apply_batch`` (inherited by the alpha-tree) runs the tree and
-its hash index over one batch-scoped view of their store, so within one call
-no page is read twice and none is written twice -- a page a split allocates
-may take one write after its allocation.  The charges must be exactly those
-of the same page accesses made straight against a
+``LazyRTree.apply_batch`` (inherited by the alpha-tree) runs in a page epoch
+on its store (``repro.storage.PageEpoch``), so within one call no page is
+read twice and none is written twice -- a page a split allocates may take
+one write after its allocation.  The charges must be exactly those of the
+same page accesses made straight against a
 ``BufferPool(store, capacity=10**9)`` that is flushed when the batch ends:
 nothing hidden, nothing charged twice.  The oracle replays each batch on a
-twin index whose view keeps nothing, over such a pool; the two trees must
-also stay bit-equal, since the view changes no decision.
+twin index whose epoch keeps nothing, over such a pool; the two trees must
+also stay bit-equal, since the epoch changes no decision.
 
 Random batches of 1 to 300 moves, with new ids and far jumps, over trees of
 fan-out 8 (so batches split leaves and inner nodes), then one batch that
@@ -67,23 +67,19 @@ class RecordingStore:
         return getattr(self.pager, name)
 
 
-class _Unkept(lazy_module._BatchPages):
-    """The batch view with nothing kept: every access goes to the store."""
+class _PassThrough:
+    """An epoch that keeps nothing: the hit loop's handle over the store's
+    own calls, and every other access goes straight to the store."""
 
     def __init__(self, store) -> None:
-        super().__init__(store)
+        self.fetch = store.read
         self.write = store.write
+        self.held = {}
 
-    def read(self, pid):
-        return self.fetch(pid)
+    def __enter__(self):
+        return self
 
-    def allocate(self, page):
-        return self._store.allocate(page)
-
-    def free(self, pid):
-        self._store.free(pid)
-
-    def close(self) -> None:
+    def __exit__(self, *exc_info) -> None:
         pass
 
 
@@ -141,7 +137,7 @@ def _oracle_apply(twin, twin_pager, batch, monkeypatch):
     raised = None
     try:
         with monkeypatch.context() as patch:
-            patch.setattr(lazy_module, "_BatchPages", _Unkept)
+            patch.setattr(lazy_module, "PageEpoch", _PassThrough)
             twin.apply_batch(batch)
     except KeyError as exc:
         raised = exc
@@ -158,6 +154,12 @@ def _assert_page_rule(store):
     rewritten = [pid for pid, n in Counter(store.writes).items() if n > 1]
     assert reread == [], f"pages read twice in one batch: {reread}"
     assert rewritten == [], f"pages written twice in one batch: {rewritten}"
+
+
+def _assert_restored(*stores):
+    """The epoch has left each store's own attributes as it found them."""
+    for store in stores:
+        assert sorted(vars(store)) == ["allocated", "pager", "reads", "writes"]
 
 
 def _document(index):
@@ -197,6 +199,7 @@ def test_each_page_read_and_written_at_most_once_per_batch(cls, dim, monkeypatch
         assert (after[0] - before[0], after[1] - before[1]) == expected
         positions.update((update.oid, update.point) for update in batch)
     assert splits > 0 and frees > 0
+    _assert_restored(store)
     assert len(index) == len(positions)
     assert verify_index(index).ok
     assert _document(index) == _document(twin)
@@ -236,7 +239,7 @@ def test_stale_pointer_charges_the_deferred_writes(cls, monkeypatch):
     assert (after[0] - before[0], after[1] - before[1]) == expected
     assert _document(index) == _document(twin)
     assert len(index) == 200
-    assert index.tree._pager is store and index.hash._pager is store
+    _assert_restored(store)
 
 
 def test_a_hash_index_on_its_own_store_gets_its_own_view():
@@ -257,6 +260,6 @@ def test_a_hash_index_on_its_own_store_gets_its_own_view():
             assert store.reads and store.writes
             _assert_page_rule(store)
         positions.update((update.oid, update.point) for update in batch)
-    assert index.tree._pager is tree_store and index.hash._pager is hash_store
+    _assert_restored(tree_store, hash_store)
     assert sorted(index.tree.iter_objects()) == sorted(positions.items())
     assert verify_index(index).ok

@@ -359,6 +359,28 @@ class TestApplyBatch:
         assert (tree.lazy_hits, tree.relocations) == (0, 0)
         assert verify_index(tree).ok
 
+    @pytest.mark.parametrize("cls", [LazyRTree, AlphaTree])
+    @pytest.mark.parametrize(
+        "point",
+        [(math.inf, 5.0), (math.nan, 5.0), (10**400, 5.0)],
+        ids=["inf", "nan", "1e400"],
+    )
+    def test_a_non_finite_insert_changes_nothing(self, cls, point, rng):
+        tree, points = _build(cls, rng, 40)
+        def root_bounds():
+            mbr = tree.tree.pager.inspect(tree.tree.root_pid).mbr
+            return tuple(mbr.lo), tuple(mbr.hi)
+
+        bounds = root_bounds()
+        ledger = (tree.pager.stats.reads(), tree.pager.stats.writes())
+        with pytest.raises(ValueError, match="not a finite float"):
+            tree.insert(99, point)
+        assert (tree.pager.stats.reads(), tree.pager.stats.writes()) == ledger
+        assert len(tree) == 40
+        assert root_bounds() == bounds
+        assert sorted(tree.range_search(DOMAIN)) == sorted(points.items())
+        assert verify_index(tree).ok
+
     def test_huge_ints_that_cancel_across_a_batch_lose_no_object(self, rng):
         huge = 10**400
         tree, points = _build(LazyRTree, rng, 40)
