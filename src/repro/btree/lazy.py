@@ -53,12 +53,12 @@ class LazyBPlusTree:
         return pid
 
     def delete(self, obj_id: int) -> bool:
-        pid = self.hash.get(obj_id)
+        pid, bucket = self.hash.lookup(obj_id)
         if pid is None:
             return False
         if self.tree.delete_at(obj_id, pid) is None:
             return False
-        self.hash.remove(obj_id)
+        self.hash.repoint(bucket, obj_id, None)
         return True
 
     def update(
@@ -73,7 +73,7 @@ class LazyBPlusTree:
         ``old_key``/``now`` are accepted for interface parity and unused.
         """
         del old_key, now
-        pid = self.hash.get(obj_id)
+        pid, bucket = self.hash.lookup(obj_id)
         if pid is None:
             raise KeyError(f"object {obj_id} is not indexed")
         leaf = self.tree.pager.read(pid)
@@ -91,7 +91,7 @@ class LazyBPlusTree:
         self.relocations += 1
         self.tree.delete_from_node(leaf, index)
         new_pid = self.tree.insert(obj_id, new_key)
-        self.hash.set(obj_id, new_pid)
+        self.hash.repoint(bucket, obj_id, new_pid)
         return new_pid
 
     def range_search(self, low: float, high: float) -> List[Tuple[int, float]]:

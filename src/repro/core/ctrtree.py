@@ -563,7 +563,7 @@ class CTRTree:
         deallocate the page if it is empty.  Set the hash-index entry for o
         to null."""
         now = self._tick(now)
-        pid = self.hash.get(obj_id)
+        pid, bucket = self.hash.lookup(obj_id)
         if pid is None:
             return False
         page = self._pager.read(pid)
@@ -582,7 +582,7 @@ class CTRTree:
         else:
             return False
         self._size -= 1
-        self.hash.remove(obj_id)
+        self.hash.repoint(bucket, obj_id, None)
         return True
 
     def _after_page_removal(self, page: DataPage, now: float) -> None:
@@ -656,7 +656,7 @@ class CTRTree:
                 self._clock = now
         now = self._clock
         new_point = tuple(new_point)
-        pid = self.hash.get(obj_id)
+        pid, bucket = self.hash.lookup(obj_id)
         if pid is None:
             raise KeyError(f"object {obj_id} is not indexed")
         page = self._pager.read(pid)
@@ -684,7 +684,7 @@ class CTRTree:
             self._after_page_removal(page, now)
             self._size -= 1
             new_pid = self._place(obj_id, new_point, now)
-            self.hash.set(obj_id, new_pid)
+            self.hash.repoint(bucket, obj_id, new_pid)
             return new_pid
 
         assert isinstance(page, RTreeNode)
@@ -708,7 +708,7 @@ class CTRTree:
         tree.delete_from_node(page, idx)
         self._size -= 1
         new_pid = self._place(obj_id, new_point, now)
-        self.hash.set(obj_id, new_pid)
+        self.hash.repoint(bucket, obj_id, new_pid)
         return new_pid
 
     # -- queries (Section 3.2, Search / RangeSearch) -----------------------------

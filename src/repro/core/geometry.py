@@ -29,6 +29,32 @@ import numpy as _np
 Point = Tuple[float, ...]
 
 
+def finite(coords: Iterable[float]) -> bool:
+    """Whether every coordinate is a finite float: not NaN, not an
+    infinity, not a number too large for a float (an int like
+    ``10**400``).  Each coordinate is tested on its own, so huge values
+    that cancel out cannot hide."""
+    try:
+        return all(map(math.isfinite, coords))
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def check_point(oid: int, point: Sequence[float]) -> None:
+    """Refuse a point no tree can hold: ``ValueError`` unless every
+    coordinate is :func:`finite`.
+
+    Called where an index's ``insert`` / ``update`` is entered, before any
+    page is read or changed: a move found out only at re-insertion would
+    already have taken the object out of its leaf.
+    """
+    if not finite(point):
+        raise ValueError(
+            f"object {oid}'s point has a coordinate that is not a finite float: "
+            f"{point!r:.200}"
+        )
+
+
 class Rect:
     """An axis-aligned hyper-rectangle ``[lo[i], hi[i]]`` in each dimension.
 

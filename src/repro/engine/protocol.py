@@ -54,6 +54,9 @@ class PageStore(Protocol):
     @property
     def page_count(self) -> int: ...
 
+    @property
+    def next_pid(self) -> PageId: ...
+
     def allocate(self, page: Page) -> PageId: ...
 
     def free(self, pid: PageId) -> None: ...

@@ -10,7 +10,10 @@ Because entries are ordered by id, the structure is direct-addressed: entry
 ``i`` lives at slot ``i % entries_per_bucket`` of bucket page
 ``i // entries_per_bucket``.  A lookup therefore costs exactly one page read
 and an update one read plus one write; no directory or overflow chains are
-needed.  Both are per-*page* costs: :meth:`HashIndex.get_many` and
+needed.  An operation that reads an object's bucket and then changes its
+entry (a relocating update, a delete) pays that one read and one write by
+taking the page from :meth:`HashIndex.lookup` to :meth:`HashIndex.repoint`.
+Both are per-*page* costs: :meth:`HashIndex.get_many` and
 :meth:`HashIndex.set_many` serve any number of ids that share a bucket with
 one read (plus one write) of it.  Each entry is an (id, pointer) pair -- 16
 bytes at the paper's geometry, giving 256 entries per 4096-byte page, so the
@@ -85,16 +88,48 @@ class HashIndex:
 
     def get(self, obj_id: int) -> Optional[PageId]:
         """The data-page pointer for ``obj_id``; one page read."""
-        # ``_locate`` inlined: this is every update's first page access.
+        return self.lookup(obj_id)[0]
+
+    def lookup(self, obj_id: int) -> Tuple[Optional[PageId], Optional[BucketPage]]:
+        """The pointer for ``obj_id`` and the bucket page that holds it; one
+        page read, as :meth:`get`.
+
+        The bucket comes back so that the operation which read it can change
+        the entry through :meth:`repoint` without reading the page again.
+        An unallocated bucket costs nothing and yields ``(None, None)``.
+        """
         if obj_id < 0:
             raise ValueError(f"object ids must be non-negative, got {obj_id}")
         per_bucket = self.entries_per_bucket
         pid = self._buckets.get(obj_id // per_bucket)
         if pid is None:
-            return None
+            return None, None
+        # Every update's first page access: the directory holds only
+        # bucket pages, so no isinstance check is spent on it.
         page = self._pager.read(pid)
-        assert isinstance(page, BucketPage)
-        return page.slots[obj_id % per_bucket]
+        return page.slots[obj_id % per_bucket], page
+
+    def repoint(
+        self, bucket: BucketPage, obj_id: int, data_pid: Optional[PageId]
+    ) -> None:
+        """Point ``obj_id`` at ``data_pid`` (``None`` clears the entry) in
+        the ``bucket`` that :meth:`lookup` returned for it; one write, no
+        read.
+
+        Pass the page object :meth:`lookup` returned, not a copy: anything
+        that repoints objects of the same bucket in between (a split's
+        :meth:`set_many` during a re-insert) reads and mutates that same
+        object, so this one write carries every change.
+        """
+        slots = bucket.slots
+        slot = obj_id % self.entries_per_bucket
+        if slots[slot] is None:
+            if data_pid is not None:
+                self._count += 1
+        elif data_pid is None:
+            self._count -= 1
+        slots[slot] = data_pid
+        self._pager.write(bucket)
 
     def get_many(self, obj_ids: Sequence[int]) -> List[Optional[PageId]]:
         """The pointers for ``obj_ids`` in request order, coalescing I/O per
@@ -164,18 +199,12 @@ class HashIndex:
             self._pager.write(page)
 
     def remove(self, obj_id: int) -> bool:
-        """Clear the entry ("set the hash index entry for o to null", 3.2)."""
-        bucket_no, slot = self._locate(obj_id)
-        pid = self._buckets.get(bucket_no)
+        """Clear the entry ("set the hash index entry for o to null", 3.2);
+        one read, plus one write when there was an entry to clear."""
+        pid, bucket = self.lookup(obj_id)
         if pid is None:
             return False
-        page = self._pager.read(pid)
-        assert isinstance(page, BucketPage)
-        if page.slots[slot] is None:
-            return False
-        page.slots[slot] = None
-        self._count -= 1
-        self._pager.write(page)
+        self.repoint(bucket, obj_id, None)
         return True
 
     # -- uncharged introspection -------------------------------------------

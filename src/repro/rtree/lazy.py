@@ -55,10 +55,9 @@ costs about seven hits, mostly its two 20-entry choose-subtree scans.
 from __future__ import annotations
 
 from itertools import chain
-from math import isfinite
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.geometry import Point, Rect
+from repro.core.geometry import Point, Rect, check_point, finite
 from repro.hashindex import HashIndex
 from repro.rtree.node import RTreeNode
 from repro.rtree.rtree import RTree
@@ -73,26 +72,6 @@ def _dimension_mismatch(oid: int, point: Point, dim: int) -> ValueError:
     return ValueError(
         f"dimension mismatch: the tree is {dim}-D, "
         f"object {oid}'s point {point!r} is {len(point)}-D"
-    )
-
-
-def _finite(coords: Iterable[float]) -> bool:
-    """Whether every coordinate is a finite float: not NaN, not an
-    infinity, not a number too large for a float (an int like
-    ``10**400``).  The tree cannot hold any other, and a move found out
-    only at re-insertion would already have taken the object out of its
-    leaf.  Each coordinate is tested on its own, so huge values that
-    cancel out cannot hide."""
-    try:
-        return all(map(isfinite, coords))
-    except OverflowError:  # an int too large for a float
-        return False
-
-
-def _not_finite(oid: int, point: Point) -> ValueError:
-    return ValueError(
-        f"object {oid}'s point has a coordinate that is not a finite float: "
-        f"{point!r:.200}"
     )
 
 
@@ -142,9 +121,6 @@ class LazyRTree:
         self, obj_id: int, point: Sequence[float], now: Optional[float] = None
     ) -> PageId:
         del now  # interface parity with the CT-R-tree
-        point = tuple(point)
-        if not _finite(point):
-            raise _not_finite(obj_id, point)
         pid = self.tree.insert(obj_id, point)
         # The split callback may already have repointed obj_id; setting again
         # is idempotent and keeps the common (no-split) case simple.
@@ -153,13 +129,13 @@ class LazyRTree:
 
     def delete(self, obj_id: int) -> bool:
         """Pointer-based deletion: hash lookup instead of spatial search."""
-        pid = self.hash.get(obj_id)
+        pid, bucket = self.hash.lookup(obj_id)
         if pid is None:
             return False
         deleted = self.tree.delete_at(obj_id, pid)
         if deleted is None:
             return False
-        self.hash.remove(obj_id)
+        self.hash.repoint(bucket, obj_id, None)
         return True
 
     def update(
@@ -177,9 +153,8 @@ class LazyRTree:
         """
         del old_point, now
         new_point = tuple(new_point)
-        if not _finite(new_point):
-            raise _not_finite(obj_id, new_point)
-        pid = self.hash.get(obj_id)
+        check_point(obj_id, new_point)
+        pid, bucket = self.hash.lookup(obj_id)
         if pid is None:
             raise KeyError(f"object {obj_id} is not indexed")
         node = self.tree.pager.read(pid)
@@ -201,7 +176,7 @@ class LazyRTree:
         self.relocations += 1
         self.tree.delete_from_node(node, idx)
         new_pid = self.tree.insert(obj_id, new_point)
-        self.hash.set(obj_id, new_pid)
+        self.hash.repoint(bucket, obj_id, new_pid)
         return new_pid
 
     def apply_batch(self, batch: Sequence["PendingUpdate"]) -> int:
@@ -250,9 +225,9 @@ class LazyRTree:
             target[oid] = point
         # One pass over every coordinate of the batch; the points are looked
         # through again only to name the offender.
-        if not _finite(chain.from_iterable(target.values())):
-            oid = next(oid for oid, point in target.items() if not _finite(point))
-            raise _not_finite(oid, target[oid])
+        if not finite(chain.from_iterable(target.values())):
+            for oid, point in target.items():
+                check_point(oid, point)  # raises at the first offender
 
         store = tree.pager
         hash_store = self.hash._pager

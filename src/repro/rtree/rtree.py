@@ -24,7 +24,7 @@ import heapq
 import math
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.geometry import Point, Rect
+from repro.core.geometry import Point, Rect, check_point
 from repro.rtree.node import Entry, RTreeNode
 from repro.rtree.splits import SPLIT_POLICIES, quadratic_split_columns
 from repro.storage.page import NO_PAGE, PageId
@@ -135,9 +135,12 @@ class RTree:
     ) -> PageId:
         """Insert a point object; returns the leaf page id holding it.
 
-        ``now`` is ignored (interface parity with the CT-R-tree).
+        ``now`` is ignored (interface parity with the CT-R-tree).  A point
+        with a coordinate that is not a finite float is refused with
+        ``ValueError`` before any page is read.
         """
         del now
+        check_point(obj_id, point)
         self._reinserted_levels.clear()
         # ``Rect(point, point)``'s coercion and its one validation that a
         # point can fail.
@@ -552,9 +555,11 @@ class RTree:
         re-inserting it in the new location."
 
         ``now`` is accepted for interface parity with the CT-R-tree (whose
-        adaptation is time-driven) and ignored.
+        adaptation is time-driven) and ignored.  ``new_point`` is checked
+        before the delete, so a point the tree cannot hold loses no object.
         """
         del now
+        check_point(obj_id, new_point)
         if not self.delete(obj_id, old_point):
             raise KeyError(f"object {obj_id} not found at {tuple(old_point)}")
         return self.insert(obj_id, new_point)

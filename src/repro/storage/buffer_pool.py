@@ -72,6 +72,10 @@ class BufferPool:
     def page_count(self) -> int:
         return self._pager.page_count
 
+    @property
+    def next_pid(self) -> PageId:
+        return self._pager.next_pid
+
     def allocate(self, page: Page) -> PageId:
         pid = self._pager.allocate(page)
         self._install(pid, dirty=False)

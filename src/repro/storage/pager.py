@@ -112,6 +112,11 @@ class Pager:
         return len(self._pages)
 
     @property
+    def next_pid(self) -> PageId:
+        """The id the next :meth:`allocate` assigns."""
+        return self._next_pid
+
+    @property
     def freed_count(self) -> int:
         """Number of pages released over the pager's lifetime."""
         return self._freed

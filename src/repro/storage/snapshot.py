@@ -183,7 +183,7 @@ def _decode_page(data: Dict) -> Page:
 def _encode_pager(pager: Pager) -> Dict:
     return {
         "page_size": pager.page_size,
-        "next_pid": pager._next_pid,
+        "next_pid": pager.next_pid,
         "pages": {str(pid): _encode_page(pager.inspect(pid)) for pid in pager.iter_pids()},
     }
 
@@ -229,6 +229,7 @@ def _encode_rtree_config(tree: RTree) -> Dict:
 
 
 def _decode_rtree(data: Dict, pager: Pager) -> RTree:
+    next_pid = pager.next_pid
     tree = RTree(
         pager,
         max_entries=data["max_entries"],
@@ -237,7 +238,10 @@ def _decode_rtree(data: Dict, pager: Pager) -> RTree:
         shrink_on_delete=data["shrink_on_delete"],
         forced_reinsert=data["forced_reinsert"],
     )
-    pager.free(tree.root_pid)  # discard the bootstrap root
+    # Discard the bootstrap root, and the pid it advanced the cursor past,
+    # so that save -> load -> save is byte-identical.
+    pager.free(tree.root_pid)
+    pager._next_pid = next_pid
     tree._root_pid = data["root_pid"]
     tree._size = data["size"]
     tree.min_entries = data["min_entries"]
@@ -457,9 +461,6 @@ def _load_lsm_document(document: Dict) -> LSMRTree:
         index._runs.append(
             Run(tree, raw["oids"], raw["tombstones"], raw["seq"])
         )
-    # Each _decode_rtree allocated (and freed) a bootstrap root, advancing
-    # the pid cursor; restore it so save -> load -> save is byte-identical.
-    pager._next_pid = document["pager"]["next_pid"]
     max_seq = 0
     # The memtable is held in seq order; the writer emits it that way.
     for raw in sorted(meta["memtable"], key=lambda raw: raw["seq"]):

@@ -128,6 +128,38 @@ class TestCharging:
         assert index.peek(0) == 7
         assert pager.stats.total() == before
 
+    def test_lookup_then_repoint_costs_one_read_and_one_write(self, index, pager):
+        index.set(1, 10)
+        before_r, before_w = pager.stats.reads(), pager.stats.writes()
+        pid, bucket = index.lookup(1)
+        assert pid == 10
+        index.repoint(bucket, 1, 20)
+        assert pager.stats.reads() == before_r + 1
+        assert pager.stats.writes() == before_w + 1
+        assert index.peek(1) == 20 and len(index) == 1
+
+    def test_lookup_on_unallocated_bucket_is_free(self, index, pager):
+        before = pager.stats.total()
+        assert index.lookup(999) == (None, None)
+        assert pager.stats.total() == before
+
+    def test_repoint_carries_a_set_many_between(self, index):
+        """A split's ``set_many`` in between mutates the held bucket, so
+        the one write of ``repoint`` keeps both changes."""
+        index.set_many([(0, 1), (1, 1)])
+        _pid, bucket = index.lookup(0)
+        index.set_many([(1, 5)])
+        index.repoint(bucket, 0, 7)
+        assert (index.peek(0), index.peek(1)) == (7, 5)
+
+    def test_repoint_to_none_clears_and_counts(self, index):
+        index.set_many([(0, 1), (2, 3)])
+        pid, bucket = index.lookup(2)
+        index.repoint(bucket, 2, None)
+        assert index.peek(2) is None and len(index) == 1
+        index.repoint(bucket, 3, 4)  # an empty slot of the same bucket
+        assert index.peek(3) == 4 and len(index) == 2
+
 
 class TestBulk:
     def test_set_many_counts_new_entries_once(self, index):

@@ -141,7 +141,7 @@ def test_failed_rebuild_respects_cooldown(rng, monkeypatch):
 
     monkeypatch.setattr("repro.health.heal.verify_index", always_failing)
     pager = Pager()
-    inner = make_index("lazy", pager, DOMAIN)
+    inner = make_index("lazy", pager, DOMAIN, max_entries=8)
     wrapper = SelfHealingIndex(
         inner, "lazy", DOMAIN,
         policy=HealPolicy(
@@ -152,20 +152,32 @@ def test_failed_rebuild_respects_cooldown(rng, monkeypatch):
             ewma_alpha=1.0,
         ),
     )
+
+    def corner(far):
+        """A point in the unit box at the domain's far or near corner."""
+        return tuple(99.0 * far + rng.uniform(0, 1) for _ in range(2))
+
+    # The objects start split between two opposite corners: the first split
+    # leaves one leaf in each corner.
     positions = {}
     for oid in range(10):
-        point = (rng.uniform(0, 100), rng.uniform(0, 100))
+        point = corner(oid % 2)
         wrapper.insert(oid, point, now=float(oid))
         positions[oid] = point
-    # Teleporting updates are never lazy -> the monitor degrades fast and
-    # keeps trying; the cooldown must bound the number of attempts.
+    # Each update teleports an object to the other corner, alternately from
+    # each, so both corners keep 4 to 6 objects: one leaf each, which never
+    # splits or empties.  Every update leaves its leaf's MBR, so none is
+    # lazy -> the monitor degrades fast and keeps trying; the cooldown must
+    # bound the number of attempts.
     t = 100.0
-    for _ in range(200):
-        oid = rng.choice(list(positions))
-        point = (rng.uniform(0, 100), rng.uniform(0, 100))
+    for step in range(200):
+        far = step % 2
+        oid = rng.choice([o for o, p in positions.items() if (p[0] > 50.0) == far])
+        point = corner(1 - far)
         wrapper.update(oid, positions[oid], point, now=t)
         positions[oid] = point
         t += 1.0
+    assert inner.lazy_hits == 0
     assert wrapper.rebuilds_failed >= 1
     # 200 updates at a 50-update cooldown: a handful of attempts, not one
     # per update.

@@ -1,15 +1,23 @@
 """Tests for snapshot persistence (save/load without pickle)."""
 
 import json
+import random
 
 import pytest
 
 from repro.core.ctrtree import CTRTree
 from repro.core.geometry import Rect
 from repro.core.params import CTParams
+from repro.engine import make_index
 from repro.rtree import AlphaTree, LazyRTree
+from repro.storage import BufferPool
 from repro.storage.pager import Pager
-from repro.storage.snapshot import SnapshotError, load_index, save_index
+from repro.storage.snapshot import (
+    SnapshotError,
+    build_document,
+    load_index,
+    save_index,
+)
 from tests.conftest import brute_force_range, random_points, random_query
 
 DOMAIN = Rect((0, 0), (1000, 1000))
@@ -129,6 +137,40 @@ class TestCTRTreeSnapshot:
             loaded.insert(5000 + i, (900.0 + offset, 900.0 + offset / 2.0), now=t)
         assert loaded.adaptation.promotions >= 1
         assert loaded.validate() == []
+
+
+class TestPooledSnapshot:
+    """An index over a ``BufferPool`` saves what the same index over a bare
+    ``Pager`` saves: the pool changes which I/Os are charged, never a page."""
+
+    def build(self, rng, kind, store):
+        index = make_index(kind, store, DOMAIN, max_entries=6)
+        points = random_points(rng, 120)
+        for oid, point in points.items():
+            index.insert(oid, point, now=0.0)
+        for oid in list(points)[::3]:
+            new = (rng.uniform(0, 1000), rng.uniform(0, 1000))
+            index.update(oid, points[oid], new, now=1.0)
+            points[oid] = new
+        return index, points
+
+    @pytest.mark.parametrize("kind", ["rtree", "lazy", "alpha", "lsm"])
+    def test_roundtrip_over_a_pool(self, kind, tmp_path):
+        pooled, points = self.build(
+            random.Random(5), kind, BufferPool(Pager(), capacity=8)
+        )
+        bare, _ = self.build(random.Random(5), kind, Pager())
+        document = build_document(pooled)
+        assert document == build_document(bare)
+        path = save_index(pooled, tmp_path / "pooled.json")
+        loaded = load_index(path)
+        assert build_document(loaded) == document
+        assert len(loaded) == len(points)
+        rng = random.Random(6)
+        for _ in range(10):
+            query = random_query(rng, span=1000)
+            got = sorted(oid for oid, _ in loaded.range_search(query))
+            assert got == brute_force_range(points, query)
 
 
 class TestFormatValidation:

@@ -100,7 +100,9 @@ def _replay(index, ops, stats, kind=None):
 
 
 #: Recorded with both node layouts run on these scripts: the packed and
-#: the per-entry layout produced exactly these values.
+#: the per-entry layout produced exactly these values.  The lazy, alpha and
+#: process UPDATE reads were re-based once since, when a relocating update
+#: and a delete stopped reading their hash bucket twice; every digest held.
 GOLDEN = {
     IndexKind.RTREE: {
         "ledger": {
@@ -115,7 +117,7 @@ GOLDEN = {
         "ledger": {
             "other": {"reads": 0, "writes": 1, "total": 1},
             "query": {"reads": 225, "writes": 0, "total": 225},
-            "update": {"reads": 1613, "writes": 1061, "total": 2674},
+            "update": {"reads": 1427, "writes": 1061, "total": 2488},
         },
         "results_sha256": "17849a1b46e106a44376f3063d73456441c5c73cc190ca9e793d593a0c69204c",
         "snapshot_sha256": "b28992cd5c9b2c0642f5dbe2e47d5d671869b3d95102583d8f6c1f60252c2af1",
@@ -124,7 +126,7 @@ GOLDEN = {
         "ledger": {
             "other": {"reads": 0, "writes": 1, "total": 1},
             "query": {"reads": 270, "writes": 0, "total": 270},
-            "update": {"reads": 1615, "writes": 1107, "total": 2722},
+            "update": {"reads": 1431, "writes": 1107, "total": 2538},
         },
         "results_sha256": "32a71c851b336a4abf7cd31016162290ef55d5ea25acb74a00eefc816273041a",
         "snapshot_sha256": "ff46a471a5310ff09e7845a31a7571b7c1daacbdda7c73aabbb72ade7f58a438",
@@ -142,7 +144,7 @@ GOLDEN = {
         "ledger": {
             "other": {"reads": 0, "writes": 2, "total": 2},
             "query": {"reads": 93, "writes": 0, "total": 93},
-            "update": {"reads": 580, "writes": 472, "total": 1052},
+            "update": {"reads": 507, "writes": 472, "total": 979},
         },
         "results_sha256": "6b812a3371293adaf6cb1d5940132a2358e4203640951df68bdfaac22146f2c9",
     },
