@@ -22,6 +22,7 @@ from repro.btree import BPlusTree, LazyBPlusTree
 from repro.core.builder import CTRTreeBuilder
 from repro.core.geometry import Rect
 from repro.core.params import CTParams
+from repro.health import verify_index
 from repro.storage.iostats import IOCategory
 from repro.storage.pager import Pager
 from benchmarks.conftest import save_result
@@ -170,4 +171,5 @@ def test_ct_interval_tolerance_holds(results, workload):
 
 def test_all_structures_valid(results):
     for name, (tree, _pager) in results.items():
-        assert tree.validate() == [], name
+        report = verify_index(tree)
+        assert report.ok, f"{name}: {report.summary()}"

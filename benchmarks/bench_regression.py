@@ -445,7 +445,7 @@ def run_rebalance_bench():
         IndexKind.LAZY, domain, REBALANCE_SHARDS, rebalancer=rebalancer
     )
     live_run = replay_skewed(live, ops)
-    live_verdict = verify_index(live, kind=IndexKind.LAZY)
+    live_verdict = verify_index(live)
 
     # Snapshot byte-identity across a cutover: a loaded clone replaying
     # the same plan must land on the same bytes as the live engine.

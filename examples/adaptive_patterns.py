@@ -18,6 +18,7 @@ Run:  python examples/adaptive_patterns.py
 from repro.citysim import City, CitySimulator
 from repro.core.builder import CTRTreeBuilder
 from repro.core.params import CTParams, SimulationParams
+from repro.health import verify_index
 from repro.storage import Pager
 from repro.workload import SimulationDriver, UpdateStream
 
@@ -63,7 +64,7 @@ def main():
             f"promotions {tree.adaptation.promotions}, "
             f"retirements {tree.adaptation.retirements}"
         )
-        assert tree.validate() == []
+        assert verify_index(tree).ok
 
     print(
         "\nThe adaptive tree discovers the new buildings as approximate "

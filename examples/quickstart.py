@@ -16,6 +16,7 @@ Run:  python examples/quickstart.py
 import random
 
 from repro import CTParams, CTRTreeBuilder, Pager, Rect
+from repro.health import verify_index
 
 
 def commuter_trail(rng, home, office, reports_per_dwell=40, interval=20.0):
@@ -77,7 +78,7 @@ def main():
     print(f"objects near the office block: {sorted(o for o, _ in near_center)[:10]}")
 
     tree.delete(oid)
-    print(f"after delete: {len(tree)} objects, index still valid: {tree.validate() == []}")
+    print(f"after delete: {len(tree)} objects, index still valid: {verify_index(tree).ok}")
 
     print(f"\nI/O ledger: {pager.stats}")
 

@@ -20,6 +20,7 @@ Run:  python examples/sensor_network.py
 import random
 
 from repro import CTParams, CTRTreeBuilder, LazyRTree, Pager, Rect
+from repro.health import verify_index
 from repro.storage import IOCategory
 from repro.workload import SimulationDriver
 from repro.citysim.trace import TraceRecord
@@ -106,7 +107,7 @@ def main():
         f"{len(cool_and_high)} (query cost "
         f"{pager.stats.total(IOCategory.QUERY)} I/Os)"
     )
-    assert tree.validate() == []
+    assert verify_index(tree).ok
 
 
 if __name__ == "__main__":

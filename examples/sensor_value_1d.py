@@ -20,6 +20,7 @@ Run:  python examples/sensor_value_1d.py
 import random
 
 from repro import BPlusTree, CTParams, CTRTreeBuilder, LazyBPlusTree, Pager, Rect
+from repro.health import verify_index
 from repro.storage import IOCategory
 
 N_SENSORS = 250
@@ -96,7 +97,7 @@ def main():
     # The structures agree on value queries.
     band = sorted(oid for oid, _ in ct.range_search(Rect((14.0,), (16.0,))))
     print(f"\nsensors currently reading 14-16 degC: {len(band)}")
-    assert ct.validate() == []
+    assert verify_index(ct).ok
 
 
 if __name__ == "__main__":

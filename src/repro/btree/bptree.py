@@ -415,60 +415,5 @@ class BPlusTree:
                 stack.extend(node.children)
         return count
 
-    def validate(self) -> List[str]:
-        """Structural invariants; returns violation messages."""
-        problems: List[str] = []
-        root = self._inspect(self._root_pid)
-        if root.parent != NO_PAGE:
-            problems.append("root has a parent pointer")
-        counted = 0
-        stack: List[Tuple[PageId, Composite, Composite]] = [
-            (self._root_pid, LOW_SENTINEL, HIGH_SENTINEL)
-        ]
-        leaves_by_tree: List[PageId] = []
-        while stack:
-            pid, low, high = stack.pop()
-            node = self._inspect(pid)
-            if (node.low, node.high) != (low, high):
-                problems.append(
-                    f"node {pid}: interval mirror {(node.low, node.high)} != {(low, high)}"
-                )
-            if node.leaf:
-                leaves_by_tree.append(pid)
-                counted += len(node.entries)
-                if node.entries != sorted(node.entries):
-                    problems.append(f"leaf {pid}: entries out of order")
-                for composite in node.entries:
-                    if not low < composite <= high:
-                        problems.append(
-                            f"leaf {pid}: {composite} outside ({low}, {high}]"
-                        )
-            else:
-                if len(node.children) != len(node.keys) + 1:
-                    problems.append(f"node {pid}: keys/children arity mismatch")
-                if node.keys != sorted(node.keys):
-                    problems.append(f"node {pid}: separators out of order")
-                if len(node.children) > self.max_entries:
-                    problems.append(f"node {pid}: overfull")
-                bounds = [low] + list(node.keys) + [high]
-                for i, child_pid in enumerate(node.children):
-                    child = self._inspect(child_pid)
-                    if child.parent != pid:
-                        problems.append(f"node {child_pid}: bad parent pointer")
-                    stack.append((child_pid, bounds[i], bounds[i + 1]))
-        if counted != self._size:
-            problems.append(f"size {self._size} != stored entries {counted}")
-
-        chain = [leaf.pid for leaf in self.iter_leaves()]
-        if sorted(chain) != sorted(leaves_by_tree):
-            problems.append("leaf chain does not match the tree's leaves")
-        previous_last: Optional[Composite] = None
-        for leaf in self.iter_leaves():
-            if leaf.entries:
-                if previous_last is not None and leaf.entries[0] < previous_last:
-                    problems.append(f"leaf {leaf.pid}: chain out of key order")
-                previous_last = leaf.entries[-1]
-        return problems
-
     def __repr__(self) -> str:
         return f"BPlusTree(size={self._size}, height={self.height})"

@@ -100,20 +100,6 @@ class LazyBPlusTree:
     def search(self, key: float) -> List[int]:
         return self.tree.search(key)
 
-    # -- uncharged introspection ------------------------------------------
-
-    def validate(self) -> List[str]:
-        problems = self.tree.validate()
-        for leaf in self.tree.iter_leaves():
-            for _key, oid in leaf.entries:
-                pointed = self.hash.peek(oid)
-                if pointed != leaf.pid:
-                    problems.append(
-                        f"hash points object {oid} at page {pointed}, "
-                        f"but it lives in {leaf.pid}"
-                    )
-        return problems
-
     def __repr__(self) -> str:
         return (
             f"LazyBPlusTree(size={len(self.tree)}, "

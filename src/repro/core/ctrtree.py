@@ -28,6 +28,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from repro.core.geometry import (
     Point,
     Rect,
+    check_point,
     rect_enlargement,
     rect_intersects,
 )
@@ -364,9 +365,16 @@ class CTRTree:
     # -- insertion (Section 3.2, Insert(o)) ------------------------------------
 
     def insert(self, obj_id: int, point: Sequence[float], now: Optional[float] = None) -> PageId:
-        """Insert object ``obj_id`` at ``point``; returns its data page id."""
+        """Insert object ``obj_id`` at ``point``; returns its data page id.
+
+        A point with a coordinate that is not a finite float, or not of the
+        domain's dimension, is refused with ``ValueError`` before any page
+        is read.
+        """
+        point = tuple(point)
+        check_point(obj_id, point, self.domain.dim)
         now = self._tick(now)
-        pid = self._place(obj_id, tuple(point), now)
+        pid = self._place(obj_id, point, now)
         self.hash.set(obj_id, pid)
         return pid
 
@@ -644,6 +652,10 @@ class CTRTree:
         The lazy path -- the new location tolerated by the page's rectangle --
         costs one hash-bucket read, one data-page read, one data-page write.
         ``old_point`` is unused (interface parity with the R-tree baselines).
+
+        A point with a coordinate that is not a finite float, or not of the
+        domain's dimension, fails every tolerance test; it is refused with
+        ``ValueError`` before the object leaves its page.
         """
         del old_point
         # A lazy hit runs straight through: clock tick (``_tick`` inlined),
@@ -667,8 +679,8 @@ class CTRTree:
                 raise KeyError(f"stale hash pointer for object {obj_id}")
             tolerance = page.tolerance
             if tolerance is not None:
-                if len(new_point) == 2:
-                    lo = tolerance.lo
+                lo = tolerance.lo
+                if len(new_point) == 2 == len(lo):
                     hi = tolerance.hi
                     x, y = new_point
                     inside = lo[0] <= x <= hi[0] and lo[1] <= y <= hi[1]
@@ -679,6 +691,7 @@ class CTRTree:
                     self._pager.write(page)
                     self.lazy_hits += 1
                     return pid
+            check_point(obj_id, new_point, self.domain.dim)
             self.relocations += 1
             del records[obj_id]
             self._after_page_removal(page, now)
@@ -704,6 +717,7 @@ class CTRTree:
             self._pager.write(page)
             self.lazy_hits += 1
             return pid
+        check_point(obj_id, new_point, self.domain.dim)
         self.relocations += 1
         tree.delete_from_node(page, idx)
         self._size -= 1
@@ -902,111 +916,6 @@ class CTRTree:
             else:
                 count += len(self._buffer_trees[node.pid])
         return count
-
-    def validate(self) -> List[str]:
-        """Cross-structure invariant check for tests; returns violations."""
-        problems: List[str] = []
-        seen: Dict[int, PageId] = {}
-        root = self._inspect(self._root_pid)
-        if root.parent != NO_PAGE:
-            problems.append("structural root has a parent pointer")
-
-        stack: List[Tuple[PageId, Optional[Rect]]] = [(self._root_pid, None)]
-        while stack:
-            pid, covering = stack.pop()
-            node = self._inspect(pid)
-            if len(node.entries) > self.max_entries:
-                problems.append(f"node {pid}: overfull ({len(node.entries)})")
-            for entry in node.entries:
-                if covering is not None and not covering.contains_rect(entry.rect):
-                    problems.append(f"node {pid}: entry escapes parent rect")
-                if node.is_leaf:
-                    if not isinstance(entry, QSEntry):
-                        problems.append(f"node {pid}: leaf entry is not a QSEntry")
-                        continue
-                    problems.extend(self._validate_qs(node, entry, seen))
-                else:
-                    child = self._inspect(entry.child)
-                    if child.parent != pid:
-                        problems.append(f"node {entry.child}: bad parent pointer")
-                    stack.append((entry.child, entry.rect))
-            problems.extend(self._validate_buffer(node, seen))
-
-        for obj_id, pid in seen.items():
-            pointed = self.hash.peek(obj_id)
-            if pointed != pid:
-                problems.append(
-                    f"hash points object {obj_id} at {pointed}, lives in {pid}"
-                )
-        if len(seen) != self._size:
-            problems.append(f"size {self._size} != stored objects {len(seen)}")
-        return problems
-
-    def _validate_qs(
-        self, node: CTNode, qs: QSEntry, seen: Dict[int, PageId]
-    ) -> List[str]:
-        problems = []
-        if len(qs.chain) != len(qs.fills):
-            problems.append(f"region {qs.region_id}: chain/fills length mismatch")
-        for pid, fill in zip(qs.chain, qs.fills):
-            page = self._pager.inspect(pid)
-            if not isinstance(page, DataPage):
-                problems.append(f"region {qs.region_id}: chain pid {pid} not a data page")
-                continue
-            if len(page.records) != fill:
-                problems.append(f"region {qs.region_id}: stale fill for page {pid}")
-            if page.owner != (OWNER_QS, node.pid, qs.region_id):
-                problems.append(f"region {qs.region_id}: page {pid} has wrong owner")
-            for obj_id, point in page.records.items():
-                if not qs.rect.contains_point(point):
-                    problems.append(
-                        f"region {qs.region_id}: object {obj_id} outside the region"
-                    )
-                if obj_id in seen:
-                    problems.append(f"object {obj_id} stored twice")
-                seen[obj_id] = pid
-        return problems
-
-    def _validate_buffer(self, node: CTNode, seen: Dict[int, PageId]) -> List[str]:
-        problems = []
-        buf = node.buffer
-        if buf.kind == NodeBuffer.KIND_LIST:
-            for pid, fill in zip(buf.pages, buf.fills):
-                page = self._pager.inspect(pid)
-                if not isinstance(page, DataPage):
-                    problems.append(f"node {node.pid}: buffer pid {pid} not a data page")
-                    continue
-                if len(page.records) != fill:
-                    problems.append(f"node {node.pid}: stale buffer fill for {pid}")
-                for obj_id, point in page.records.items():
-                    if page.tolerance is not None and not page.tolerance.contains_point(
-                        point
-                    ):
-                        problems.append(
-                            f"node {node.pid}: buffered object {obj_id} outside tolerance"
-                        )
-                    if obj_id in seen:
-                        problems.append(f"object {obj_id} stored twice")
-                    seen[obj_id] = pid
-        else:
-            tree = self._buffer_trees.get(node.pid)
-            if tree is None:
-                problems.append(f"node {node.pid}: tree buffer without a tree")
-                return problems
-            problems.extend(f"buffer tree of {node.pid}: {p}" for p in tree.validate())
-            bound = self._buffer_bounds.get(node.pid)
-            for leaf in tree.iter_leaves():
-                if leaf.tag != node.pid:
-                    problems.append(f"buffer tree of {node.pid}: leaf {leaf.pid} untagged")
-                for entry in leaf.entries:
-                    if bound is not None and not bound.contains_point(entry.point):
-                        problems.append(
-                            f"buffer tree of {node.pid}: object {entry.child} out of bound"
-                        )
-                    if entry.child in seen:
-                        problems.append(f"object {entry.child} stored twice")
-                    seen[entry.child] = leaf.pid
-        return problems
 
     def __repr__(self) -> str:
         return (

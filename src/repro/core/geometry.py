@@ -40,9 +40,10 @@ def finite(coords: Iterable[float]) -> bool:
         return False
 
 
-def check_point(oid: int, point: Sequence[float]) -> None:
+def check_point(oid: int, point: Sequence[float], dim: int = 0) -> None:
     """Refuse a point no tree can hold: ``ValueError`` unless every
-    coordinate is :func:`finite`.
+    coordinate is :func:`finite` and, when ``dim`` is non-zero (the tree
+    has a dimension), there are exactly ``dim`` of them.
 
     Called where an index's ``insert`` / ``update`` is entered, before any
     page is read or changed: a move found out only at re-insertion would
@@ -52,6 +53,11 @@ def check_point(oid: int, point: Sequence[float]) -> None:
         raise ValueError(
             f"object {oid}'s point has a coordinate that is not a finite float: "
             f"{point!r:.200}"
+        )
+    if dim and len(point) != dim:
+        raise ValueError(
+            f"dimension mismatch: the tree is {dim}-D, "
+            f"object {oid}'s point {point!r:.200} is {len(point)}-D"
         )
 
 
@@ -190,7 +196,9 @@ class Rect:
         hi = self.hi
         if len(lo) == 2 and len(point) == 2:
             return lo[0] <= point[0] <= hi[0] and lo[1] <= point[1] <= hi[1]
-        return all(l <= c <= h for l, c, h in zip(lo, point, hi))
+        return len(point) == len(lo) and all(
+            l <= c <= h for l, c, h in zip(lo, point, hi)
+        )
 
     def contains_rect(self, other: "Rect") -> bool:
         slo = self.lo

@@ -249,7 +249,7 @@ def recover(
         from repro.health.verify import verify_index
 
         try:
-            verdict = verify_index(index, kind=report.kind or None)
+            verdict = verify_index(index)
         except Exception as exc:  # diagnostics must not mask recovery
             report.verify_ok = None
             report.verify_violations = [f"verifier crashed: {exc!r}"]

@@ -16,7 +16,7 @@ through the same table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.builder import CTRTreeBuilder
 from repro.core.ctrtree import CTRTree
@@ -113,7 +113,12 @@ def _delete_timed(
 
 @dataclass(frozen=True)
 class IndexSpec:
-    """Everything the engine knows about one index kind."""
+    """Everything the engine knows about one index kind.
+
+    Structural checking is not a capability here: ``repro.health.verify``
+    dispatches on the concrete index type, and a kind it does not know
+    reads ``unsupported``.
+    """
 
     kind: str
     label: str
@@ -125,11 +130,6 @@ class IndexSpec:
     needs_histories: bool = False
     #: Tag used by the generic snapshot dispatch (storage.snapshot).
     snapshot_kind: Optional[str] = None
-    #: Health capability: invariant check returning violation messages.
-    #: ``repro.health.verify`` dispatches the built-in families by type
-    #: and falls back to this for third-party registered kinds (and from
-    #: there to the duck-typed ``validate()`` convention).
-    verifier: Optional[Callable[[SpatialIndex], List[str]]] = None
 
 
 def _make_rtree(store: PageStore, domain: Rect, options: IndexOptions) -> SpatialIndex:

@@ -352,13 +352,13 @@ class ShardServer:
             return {"ok": True, "tree": tree_stats(self.shard.index)}
         if tag == "verify":
             # The health layer sits above the engine: import on use.
-            from repro.health.verify import iter_objects, verify_index
+            from repro.health.verify import verify_index
 
             index = self.shard.index
             return {
                 "ok": True,
-                "report": verify_index(index, kind=self.kind),
-                "objects": list(iter_objects(index)),
+                "report": verify_index(index),
+                "objects": list(index.iter_objects()),
             }
         if tag == "ping":
             # Transport echo: no shard work, no I/O -- the unit of measure

@@ -250,10 +250,6 @@ class SelfHealingIndex:
     def range_search(self, rect: Rect) -> List[Tuple[int, Point]]:
         return self.inner.range_search(rect)
 
-    def validate(self) -> List[str]:
-        validate = getattr(self.inner, "validate", None)
-        return validate() if validate is not None else []
-
     # -- telemetry delegation (treestats / driver duck-typing) -------------
 
     @property
@@ -383,7 +379,7 @@ class SelfHealingIndex:
 
     def _advance_mine(self) -> None:
         spec = get_spec(self._shadow_kind)
-        page_size = getattr(self.inner.pager, "page_size", 4096)
+        page_size = self.inner.pager.page_size
         pager = Pager(page_size=page_size, stats=self._stats)
         histories = None
         if spec.needs_histories:
@@ -436,7 +432,7 @@ class SelfHealingIndex:
                 f"the ledger {len(self._positions)}"
             )
         if self.policy.verify_shadow:
-            report = verify_index(shadow, kind=self._shadow_kind)
+            report = verify_index(shadow)
             if not report.ok:
                 raise RuntimeError(
                     f"shadow failed verification: {report.summary()}"

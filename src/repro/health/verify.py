@@ -15,8 +15,13 @@ family promises:
   shard command), plus router coverage -- every resident object lives in
   the shard its position maps to and the owner map mirrors actual
   residency;
-* B+-tree family: key order, interval mirrors, arity, leaf-chain order,
-  and (lazy variant) hash agreement.
+* B+-tree family: key order, separator intervals and their mirrors,
+  arity, leaf-chain membership and order, duplicates, size, and (lazy
+  variant) hash agreement in both directions.
+
+This module is the only structural checker: no index kind carries its own
+``validate``, and an object of a type not listed above reads one
+``unsupported`` violation.
 
 Violations are typed (:class:`Violation` carries a stable ``code``, a
 human-readable location, and a ``repairable`` flag); :func:`repair_index`
@@ -32,7 +37,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.btree.bptree import BPlusTree
+from repro.btree.bptree import HIGH_SENTINEL, LOW_SENTINEL, BPlusTree, Composite
 from repro.btree.lazy import LazyBPlusTree
 from repro.core.ctrtree import CTRTree
 from repro.core.geometry import Point, Rect
@@ -166,13 +171,11 @@ class RepairReport:
 # -- dispatch --------------------------------------------------------------
 
 
-def verify_index(index, *, kind: Optional[str] = None) -> VerifyReport:
+def verify_index(index) -> VerifyReport:
     """Check every structural invariant of ``index`` -> :class:`VerifyReport`.
 
-    Dispatch is by concrete type for the built-in families; unknown types
-    fall back to the registry's per-kind ``verifier`` capability (when
-    ``kind`` names a registered spec) and finally to the duck-typed
-    ``validate() -> List[str]`` convention.
+    Dispatch is by concrete type over the built-in families; an object of
+    any other type reads one ``unsupported`` violation.
     """
     t0 = perf_counter()
     inner = getattr(index, "inner", None)
@@ -200,68 +203,17 @@ def verify_index(index, *, kind: Optional[str] = None) -> VerifyReport:
         _walk_rtree(index, report)
     elif isinstance(index, LazyBPlusTree):
         report.kind = "lazy-bptree"
-        _wrap_validate(index, report)
+        _check_hash(index.hash, _verify_bptree(index.tree, report), report)
     elif isinstance(index, BPlusTree):
         report.kind = "bptree"
-        _wrap_validate(index, report)
+        _verify_bptree(index, report)
     else:
-        _verify_registered(index, kind, report)
+        report.kind = type(index).__name__
+        report.add(
+            "unsupported", report.kind, "no verifier exists for this index type"
+        )
     report.elapsed_s = perf_counter() - t0
     return report
-
-
-def _verify_registered(index, kind: Optional[str], report: VerifyReport) -> None:
-    """Registry capability / duck-typed fallback for third-party kinds."""
-    report.kind = kind or type(index).__name__
-    if kind is not None:
-        from repro.engine.registry import get_spec
-
-        try:
-            spec = get_spec(kind)
-        except ValueError:
-            spec = None
-        if spec is not None and spec.verifier is not None:
-            for message in spec.verifier(index):
-                report.add("invariant", report.kind, message)
-            return
-    if hasattr(index, "validate"):
-        _wrap_validate(index, report)
-    else:
-        report.add(
-            "unsupported",
-            report.kind,
-            "no verifier is registered for this index type",
-        )
-
-
-#: Keyword -> code map for adopting ``validate()`` string output.
-_CLASSIFIERS: Tuple[Tuple[str, str], ...] = (
-    ("key order", "key-order"),
-    ("out of order", "key-order"),
-    ("outside (", "key-order"),
-    ("interval mirror", "structure"),
-    ("parent pointer", "structure"),
-    ("leaf chain", "structure"),
-    ("arity", "fanout"),
-    ("overfull", "fanout"),
-    ("hash", "hash-stale"),
-    ("size", "size-counter"),
-)
-
-
-def _wrap_validate(index, report: VerifyReport) -> None:
-    """Adopt a duck-typed ``validate()`` as typed violations."""
-    for message in index.validate():
-        code = "invariant"
-        for keyword, mapped in _CLASSIFIERS:
-            if keyword in message:
-                code = mapped
-                break
-        report.add(
-            code, report.kind, message, repairable=(code == "hash-stale")
-        )
-    report.checked_nodes += getattr(index, "node_count", lambda: 0)()
-    report.checked_objects += len(index)
 
 
 # -- R-tree family ---------------------------------------------------------
@@ -611,6 +563,90 @@ def _verify_node_buffer(
                 live[entry.child] = leaf.pid
 
 
+# -- B+-tree family --------------------------------------------------------
+
+
+def _verify_bptree(tree: BPlusTree, report: VerifyReport) -> Dict[int, PageId]:
+    """Separator intervals, key order, arity and the leaf chain; returns
+    the object -> leaf-pid residency map."""
+    live: Dict[int, PageId] = {}
+    root = tree.pager.inspect(tree.root_pid)
+    if root.parent != NO_PAGE:
+        report.add("structure", "root", "root has a parent pointer")
+    stack: List[Tuple[PageId, Composite, Composite]] = [
+        (tree.root_pid, LOW_SENTINEL, HIGH_SENTINEL)
+    ]
+    leaves: List[PageId] = []
+    while stack:
+        pid, low, high = stack.pop()
+        node = tree.pager.inspect(pid)
+        report.checked_nodes += 1
+        loc = f"node {pid}"
+        if (node.low, node.high) != (low, high):
+            report.add(
+                "structure",
+                loc,
+                f"interval mirror {(node.low, node.high)} != {(low, high)}",
+            )
+        if node.leaf:
+            leaves.append(pid)
+            if node.entries != sorted(node.entries):
+                report.add("key-order", loc, "leaf entries out of order")
+            for composite in node.entries:
+                if not low < composite <= high:
+                    report.add(
+                        "key-range", loc, f"{composite} outside ({low}, {high}]"
+                    )
+                report.checked_objects += 1
+                obj_id = composite[1]
+                if obj_id in live:
+                    report.add(
+                        "duplicate-object", loc, f"object {obj_id} stored twice"
+                    )
+                live[obj_id] = pid
+            continue
+        if len(node.children) != len(node.keys) + 1:
+            report.add(
+                "fanout",
+                loc,
+                f"{len(node.children)} children for {len(node.keys)} separators",
+            )
+        if node.keys != sorted(node.keys):
+            report.add("key-order", loc, "separators out of order")
+        if len(node.children) > tree.max_entries:
+            report.add("fanout", loc, f"overfull ({len(node.children)})")
+        bounds = [low, *node.keys, high]
+        for child_pid, child_low, child_high in zip(
+            node.children, bounds, bounds[1:]
+        ):
+            child = tree.pager.inspect(child_pid)
+            if child.parent != pid:
+                report.add(
+                    "structure",
+                    f"node {child_pid}",
+                    f"parent pointer {child.parent} != {pid}",
+                )
+            stack.append((child_pid, child_low, child_high))
+    if len(live) != len(tree):
+        report.add(
+            "size-counter",
+            "tree",
+            f"size counter {len(tree)} != stored objects {len(live)}",
+        )
+    chained = list(tree.iter_leaves())
+    if sorted(leaf.pid for leaf in chained) != sorted(leaves):
+        report.add("structure", "leaf chain", "chain does not match the tree's leaves")
+    previous_last: Optional[Composite] = None
+    for leaf in chained:
+        if leaf.entries:
+            if previous_last is not None and leaf.entries[0] < previous_last:
+                report.add(
+                    "structure", f"node {leaf.pid}", "leaf chain out of key order"
+                )
+            previous_last = leaf.entries[-1]
+    return live
+
+
 # -- sharded engine --------------------------------------------------------
 
 
@@ -678,14 +714,6 @@ def _verify_sharded(sharded: ShardedIndex, report: VerifyReport) -> None:
                 f"object {obj_id} is stored but missing from the owner map",
                 repairable=True,
             )
-
-
-def iter_objects(index) -> Iterator[Tuple[int, Point]]:
-    """(object id, position) pairs of any spatial index family; uncharged."""
-    if hasattr(index, "iter_objects"):
-        yield from index.iter_objects()
-    elif hasattr(index, "tree"):
-        yield from index.tree.iter_objects()
 
 
 # -- repair ----------------------------------------------------------------
@@ -844,7 +872,7 @@ def _repair_router(sharded: ShardedIndex, report: RepairReport) -> None:
     """Rebuild the owner map from actual shard residency."""
     rebuilt: Dict[int, int] = {}
     for shard in sharded.shards:
-        for obj_id, _position in iter_objects(shard.index):
+        for obj_id, _position in shard.index.iter_objects():
             rebuilt[obj_id] = shard.sid
     if rebuilt != sharded._owner:
         before = sharded._owner

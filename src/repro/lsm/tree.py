@@ -540,7 +540,7 @@ class LSMRTree:
         for run in window:
             run.free_pages()
         self._runs[start:end] = replacement
-        page_size = getattr(self._pager, "page_size", 4096)
+        page_size = self._pager.page_size
         stats = self.compaction
         stats.compactions += 1
         stats.runs_merged += len(window)
@@ -571,53 +571,6 @@ class LSMRTree:
     def read_amplification(self) -> float:
         """Mean number of runs probed per query over the index lifetime."""
         return self.query_run_probes / self.queries if self.queries else 0.0
-
-    def validate(self) -> List[str]:
-        """Duck-typed invariant check (the convention ``verify_index`` and
-        the sharded verifier adopt); [] when clean."""
-        problems: List[str] = []
-        live_seen: set = set()
-        suppressed = set(self._mem_dead)
-        for pending in self.memtable.iter_pending():
-            if pending.oid in self._mem_dead:
-                problems.append(
-                    f"oid {pending.oid} is both pending and tombstoned "
-                    "in the memtable"
-                )
-            live_seen.add(pending.oid)
-            suppressed.add(pending.oid)
-        for i in range(len(self._runs) - 1, -1, -1):
-            run = self._runs[i]
-            for message in run.tree.validate():
-                problems.append(f"run {i} (seq {run.seq}): {message}")
-            stored = sorted(oid for oid, _ in run.tree.iter_objects())
-            if stored != list(run.oids):
-                problems.append(
-                    f"run {i} (seq {run.seq}): oid side table disagrees "
-                    "with the tree's stored objects"
-                )
-            overlap = set(run.oids) & set(run.tombstones)
-            if overlap:
-                problems.append(
-                    f"run {i} (seq {run.seq}): oids both live and "
-                    f"tombstoned in one run: {sorted(overlap)[:5]}"
-                )
-            for oid in run.oids:
-                if oid not in suppressed:
-                    live_seen.add(oid)
-            suppressed.update(run.oids)
-            suppressed.update(run.tombstones)
-        phantom = sorted(self._live - live_seen)
-        if phantom:
-            problems.append(
-                f"live set holds oids that resolve dead: {phantom[:5]}"
-            )
-        missing = sorted(live_seen - self._live)
-        if missing:
-            problems.append(
-                f"live set lacks oids that resolve live: {missing[:5]}"
-            )
-        return problems
 
     def collect_tree_stats(self) -> Dict[str, object]:
         """The ``tree_stats`` probe: per-run shapes plus LSM counters."""

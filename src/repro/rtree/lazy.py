@@ -55,7 +55,7 @@ costs about seven hits, mostly its two 20-entry choose-subtree scans.
 from __future__ import annotations
 
 from itertools import chain
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.geometry import Point, Rect, check_point, finite
 from repro.hashindex import HashIndex
@@ -66,13 +66,6 @@ from repro.storage.pager import PageEpoch, Pager
 
 if TYPE_CHECKING:
     from repro.engine.buffer import PendingUpdate
-
-
-def _dimension_mismatch(oid: int, point: Point, dim: int) -> ValueError:
-    return ValueError(
-        f"dimension mismatch: the tree is {dim}-D, "
-        f"object {oid}'s point {point!r} is {len(point)}-D"
-    )
 
 
 class LazyRTree:
@@ -153,7 +146,7 @@ class LazyRTree:
         """
         del old_point, now
         new_point = tuple(new_point)
-        check_point(obj_id, new_point)
+        check_point(obj_id, new_point, self.tree.dim)
         pid, bucket = self.hash.lookup(obj_id)
         if pid is None:
             raise KeyError(f"object {obj_id} is not indexed")
@@ -162,10 +155,6 @@ class LazyRTree:
         idx = node.find_entry(obj_id)
         if idx is None:
             raise KeyError(f"stale hash pointer for object {obj_id}")
-        if len(new_point) != node.entries.dim:
-            # Before the delete: the re-insertion would fail with the
-            # object already out of its leaf.
-            raise _dimension_mismatch(obj_id, new_point, node.entries.dim)
         if node.mbr is not None and node.mbr.contains_point(new_point):
             # Lazy path: overwrite the packed point columns in place (the
             # entry keeps its slot and object id; only coordinates change).
@@ -216,7 +205,7 @@ class LazyRTree:
             if len(point) != dim:
                 # An empty tree takes the batch's first dimension.
                 if dim:
-                    raise _dimension_mismatch(oid, point, dim)
+                    check_point(oid, point, dim)  # raises: wrong dimension
                 dim = len(point)
             if oid in target:
                 del target[oid]  # re-queue at its last occurrence
@@ -353,18 +342,8 @@ class LazyRTree:
 
     # -- uncharged introspection ------------------------------------------
 
-    def validate(self) -> List[str]:
-        """Tree invariants plus hash-pointer exactness."""
-        problems = self.tree.validate()
-        for leaf in self.tree.iter_leaves():
-            for child in leaf.entries.child_list():
-                pointed = self.hash.peek(child)
-                if pointed != leaf.pid:
-                    problems.append(
-                        f"hash points object {child} at page {pointed}, "
-                        f"but it lives in {leaf.pid}"
-                    )
-        return problems
+    def iter_objects(self) -> Iterator[Tuple[int, Point]]:
+        return self.tree.iter_objects()
 
     def __repr__(self) -> str:
         return (

@@ -88,6 +88,7 @@ class RTree:
         self.forced_reinsert = forced_reinsert
         self._reinserted_levels: set = set()
         self._size = 0
+        self._dim = 0
 
         root = RTreeNode(level=0)
         pager.allocate(root)
@@ -110,8 +111,14 @@ class RTree:
 
     @property
     def dim(self) -> int:
-        """Dimension of the indexed boxes (0 until the first insert)."""
-        return self._pager.inspect(self._root_pid).entries.dim  # type: ignore[union-attr]
+        """Dimension of the indexed boxes (0 until the first insert).
+
+        Read from the root until the tree has one, then kept: every entry
+        shares it, so no later root differs.
+        """
+        if not self._dim:
+            self._dim = self._pager.inspect(self._root_pid).entries.dim  # type: ignore[union-attr]
+        return self._dim
 
     def __len__(self) -> int:
         return self._size
@@ -136,11 +143,11 @@ class RTree:
         """Insert a point object; returns the leaf page id holding it.
 
         ``now`` is ignored (interface parity with the CT-R-tree).  A point
-        with a coordinate that is not a finite float is refused with
-        ``ValueError`` before any page is read.
+        with a coordinate that is not a finite float, or not of the tree's
+        dimension, is refused with ``ValueError`` before any page is read.
         """
         del now
-        check_point(obj_id, point)
+        check_point(obj_id, point, self.dim)
         self._reinserted_levels.clear()
         # ``Rect(point, point)``'s coercion and its one validation that a
         # point can fail.
@@ -559,7 +566,7 @@ class RTree:
         before the delete, so a point the tree cannot hold loses no object.
         """
         del now
-        check_point(obj_id, new_point)
+        check_point(obj_id, new_point, self.dim)
         if not self.delete(obj_id, old_point):
             raise KeyError(f"object {obj_id} not found at {tuple(old_point)}")
         return self.insert(obj_id, new_point)
@@ -674,45 +681,6 @@ class RTree:
             if not node.is_leaf:
                 stack.extend(node.entries.child_list())
         return count
-
-    def validate(self) -> List[str]:
-        """Structural invariant check (tests); returns violation messages."""
-        problems: List[str] = []
-        root = self._inspect(self._root_pid)
-        if root.parent != NO_PAGE:
-            problems.append("root has a parent pointer")
-        counted = 0
-        stack: List[Tuple[PageId, Optional[Rect], int]] = [(self._root_pid, None, root.level)]
-        while stack:
-            pid, covering, expected_level = stack.pop()
-            node = self._inspect(pid)
-            if node.level != expected_level:
-                problems.append(f"node {pid}: level {node.level} != expected {expected_level}")
-            if pid != self._root_pid and not (
-                self.min_entries <= len(node.entries) <= self.max_entries
-            ):
-                if self.shrink_on_delete:
-                    problems.append(
-                        f"node {pid}: fill {len(node.entries)} outside "
-                        f"[{self.min_entries}, {self.max_entries}]"
-                    )
-                elif len(node.entries) == 0 or len(node.entries) > self.max_entries:
-                    problems.append(f"node {pid}: fill {len(node.entries)} invalid for lazy tree")
-            for entry in node.entries:
-                if covering is not None and not covering.contains_rect(entry.rect):
-                    problems.append(f"node {pid}: entry {entry!r} escapes parent rect")
-                if node.is_leaf:
-                    counted += 1
-                else:
-                    child = self._inspect(entry.child)
-                    if child.parent != pid:
-                        problems.append(
-                            f"node {entry.child}: parent pointer {child.parent} != {pid}"
-                        )
-                    stack.append((entry.child, entry.rect, node.level - 1))
-        if counted != self._size:
-            problems.append(f"size counter {self._size} != stored objects {counted}")
-        return problems
 
     def __repr__(self) -> str:
         return (

@@ -213,7 +213,7 @@ def run_serve_bench(
                 f"daemon failed at {n_clients} clients"
             ) from daemon.error
         identical = served_sweep == expected_sweep
-        report = verify_index(service.index, kind=kind)
+        report = verify_index(service.index)
         parity_all = parity_all and identical
         verify_all = verify_all and report.ok
         result.update(

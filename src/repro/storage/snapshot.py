@@ -586,13 +586,7 @@ def _load_sharded_document(document: Dict) -> ShardedIndex:
         # (timestamps unknown) from shard residency so rebalancing still
         # works after a load.
         for shard in shards:
-            inner = shard.index
-            objects = (
-                inner.iter_objects()
-                if hasattr(inner, "iter_objects")
-                else inner.tree.iter_objects()
-            )
-            for oid, pos in objects:
+            for oid, pos in shard.index.iter_objects():
                 index._positions[oid] = (tuple(pos), None)
     return index
 

@@ -8,6 +8,7 @@ from typing import Dict, Iterable, List, Tuple
 import pytest
 
 from repro.core.geometry import Point, Rect
+from repro.health import verify_index
 from repro.storage.pager import Pager
 
 
@@ -78,3 +79,10 @@ def dwell_trail(
             )
         previous = (cx, cy)
     return trail
+
+
+def assert_verified(index) -> None:
+    """Assert that ``verify_index`` finds no broken invariant in ``index``,
+    naming every violation when it does."""
+    report = verify_index(index)
+    assert report.ok, "\n".join([report.summary(), *map(str, report.violations)])

@@ -6,6 +6,7 @@ from repro.core.ctrtree import CTRTree
 from repro.core.geometry import Rect
 from repro.core.params import CTParams
 from repro.storage.pager import Pager
+from tests.conftest import assert_verified
 
 DOMAIN = Rect((0, 0), (1000, 1000))
 
@@ -36,7 +37,7 @@ class TestDiscovery:
         fill_cluster(tree, (600.0, 600.0), 30, t0=0.0, dt=20.0)
         assert tree.adaptation.promotions >= 1
         assert tree.region_count > regions_before
-        assert tree.validate() == []
+        assert_verified(tree)
 
     def test_promoted_region_overlaps_the_cluster(self, pager):
         tree = CTRTree(pager, DOMAIN, [Rect((0, 0), (50, 50))], max_entries=8,
@@ -69,7 +70,7 @@ class TestDiscovery:
         tree = CTRTree(pager, DOMAIN, [Rect((0, 0), (50, 50))], max_entries=8,
                        ct_params=promo_params())
         fill_cluster(tree, (600.0, 600.0), 30, t0=0.0, dt=20.0)
-        assert tree.validate() == []  # hash exactness included
+        assert_verified(tree)  # hash exactness included
 
     def test_no_promotion_when_adaptive_disabled(self, pager):
         tree = CTRTree(pager, DOMAIN, [Rect((0, 0), (50, 50))], max_entries=8,
@@ -121,7 +122,7 @@ class TestRetirement:
     def test_churning_region_retired(self, pager):
         tree = self.make_churning_tree(pager, t_remove=0.05)
         assert tree.adaptation.retirements >= 1
-        assert tree.validate() == []
+        assert_verified(tree)
 
     def test_high_threshold_keeps_region(self, pager):
         tree = self.make_churning_tree(pager, t_remove=1e9)
@@ -143,7 +144,7 @@ class TestRetirement:
         # Every object must still be findable wherever it ended up.
         found = sorted(oid for oid, _ in tree.range_search(Rect((0, 0), (1000, 1000))))
         assert found == list(range(40))
-        assert tree.validate() == []
+        assert_verified(tree)
 
     def test_retirement_disabled_without_adaptive(self, pager):
         params = CTParams(t_list=8, t_remove=0.0001, t_time=50.0)
@@ -172,7 +173,7 @@ class TestInteraction:
         for k, center in enumerate(centers):
             t = fill_cluster(tree, center, 12, start_id=100 * k, t0=t, dt=15.0)
         assert tree.adaptation.promotions >= 2
-        assert tree.validate() == []
+        assert_verified(tree)
         got = sorted(oid for oid, _ in tree.range_search(Rect((0, 0), (1000, 1000))))
         assert len(got) == 60
 

@@ -4,7 +4,12 @@ import pytest
 
 from repro.rtree import AlphaTree, LazyRTree
 from repro.storage.pager import Pager
-from tests.conftest import brute_force_range, random_points, random_query
+from tests.conftest import (
+    assert_verified,
+    brute_force_range,
+    random_points,
+    random_query,
+)
 
 
 @pytest.fixture
@@ -66,7 +71,7 @@ class TestLooseMBRs:
             new = (rng.uniform(0, 100), rng.uniform(0, 100))
             tree.update(oid, points[oid], new)
             points[oid] = new
-        assert tree.validate() == []
+        assert_verified(tree)
         for _ in range(25):
             query = random_query(rng)
             got = sorted(oid for oid, _ in tree.range_search(query))
@@ -77,7 +82,7 @@ class TestLooseMBRs:
         for i in range(40):
             tree.insert(i, (float(i), float(i)))
         # After splits the invariant still holds: entries within node MBRs.
-        assert tree.validate() == []
+        assert_verified(tree)
 
 
 class TestLifecycle:
@@ -93,6 +98,6 @@ class TestLifecycle:
             new = (rng.uniform(0, 100), rng.uniform(0, 100))
             tree.update(oid, points[oid], new)
             points[oid] = new
-        assert tree.validate() == []
+        assert_verified(tree)
         got = sorted(oid for oid, _ in tree.tree.iter_objects())
         assert got == sorted(points)

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from repro.btree import BPlusTree, LazyBPlusTree
 from repro.btree.bptree import HIGH_SENTINEL, LOW_SENTINEL, BNode
+from repro.health import verify_index
 from repro.storage.pager import Pager
+from tests.conftest import assert_verified
 
 
 def brute_range(keys, low, high):
@@ -27,7 +29,7 @@ class TestConstruction:
         assert len(tree) == 0
         assert tree.height == 1
         assert tree.range_search(-1e9, 1e9) == []
-        assert tree.validate() == []
+        assert_verified(tree)
 
     def test_rejects_small_fanout(self, pager):
         with pytest.raises(ValueError):
@@ -71,7 +73,7 @@ class TestInsertSearch:
         keys = {oid: rng.uniform(0, 1000) for oid in range(300)}
         for oid, key in keys.items():
             tree.insert(oid, key)
-        assert tree.validate() == []
+        assert_verified(tree)
         assert tree.height >= 3
 
     def test_range_search_matches_brute_force(self, tree, rng):
@@ -91,18 +93,18 @@ class TestInsertSearch:
     def test_sorted_insertion_order(self, tree):
         for i in range(100):
             tree.insert(i, float(i))
-        assert tree.validate() == []
+        assert_verified(tree)
         assert [oid for oid, _ in tree.iter_entries()] == list(range(100))
 
     def test_reverse_sorted_insertion(self, tree):
         for i in range(100):
             tree.insert(i, float(-i))
-        assert tree.validate() == []
+        assert_verified(tree)
 
     def test_all_identical_keys_beyond_fanout(self, tree):
         for i in range(40):
             tree.insert(i, 7.0)
-        assert tree.validate() == []
+        assert_verified(tree)
         assert sorted(tree.search(7.0)) == list(range(40))
 
     def test_insert_returns_holding_leaf(self, tree, pager):
@@ -130,7 +132,7 @@ class TestDelete:
         for oid, key in keys.items():
             assert tree.delete(oid, key)
         assert len(tree) == 0
-        assert tree.validate() == []
+        assert_verified(tree)
         tree.insert(999, 1.0)
         assert tree.search(1.0) == [999]
 
@@ -140,7 +142,7 @@ class TestDelete:
             tree.insert(oid, key)
         for oid in list(keys)[::2]:
             assert tree.delete(oid, keys.pop(oid))
-        assert tree.validate() == []
+        assert_verified(tree)
         got = sorted((k, oid) for oid, k in tree.range_search(-1, 101))
         assert got == brute_range(keys, -1, 101)
 
@@ -173,7 +175,7 @@ class TestCharging:
             tree.insert(oid, rng.uniform(0, 100))
         total = pager.stats.total()
         list(tree.iter_entries())
-        tree.validate()
+        verify_index(tree)
         tree.node_count()
         assert pager.stats.total() == total
 
@@ -200,7 +202,7 @@ class TestLazyBPlusTree:
         tree.update(median_oid, keys[median_oid], keys[median_oid] + 500.0)
         assert tree.relocations >= 1
         assert tree.search(keys[median_oid] + 500.0) == [median_oid]
-        assert tree.validate() == []
+        assert_verified(tree)
 
     def test_drifting_sensor_is_mostly_lazy(self, pager, rng):
         """The whole point: slow drift around an operating point stays lazy."""
@@ -215,7 +217,7 @@ class TestLazyBPlusTree:
             tree.update(oid, keys[oid], new)
             keys[oid] = new
         assert tree.lazy_hits / 1000 > 0.8
-        assert tree.validate() == []
+        assert_verified(tree)
 
     def test_delete_via_hash(self, pager, rng):
         tree = LazyBPlusTree(pager, max_entries=6)
@@ -224,7 +226,7 @@ class TestLazyBPlusTree:
         for oid in range(0, 80, 3):
             assert tree.delete(oid)
         assert not tree.delete(0)
-        assert tree.validate() == []
+        assert_verified(tree)
 
     def test_update_missing_raises(self, pager):
         tree = LazyBPlusTree(pager)
@@ -250,7 +252,7 @@ def test_property_bptree_matches_dict(steps):
             oracle[oid] = float(key)
         elif op == "delete" and oid in oracle:
             assert tree.delete(oid, oracle.pop(oid))
-    assert tree.validate() == []
+    assert_verified(tree)
     got = sorted((k, oid) for oid, k in tree.range_search(-1e9, 1e9))
     assert got == sorted((k, oid) for oid, k in oracle.items())
 
@@ -271,6 +273,6 @@ def test_property_lazy_bptree_matches_dict(steps):
         elif op == "delete" and oid in oracle:
             assert tree.delete(oid)
             del oracle[oid]
-    assert tree.validate() == []
+    assert_verified(tree)
     got = sorted((k, oid) for oid, k in tree.range_search(-1e9, 1e9))
     assert got == sorted((k, oid) for oid, k in oracle.items())

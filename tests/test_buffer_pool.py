@@ -8,7 +8,12 @@ from repro.rtree import LazyRTree
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.page import RawPage
 from repro.storage.pager import Pager
-from tests.conftest import brute_force_range, random_points, random_query
+from tests.conftest import (
+    assert_verified,
+    brute_force_range,
+    random_points,
+    random_query,
+)
 
 
 @pytest.fixture
@@ -209,7 +214,7 @@ class TestIndexesOverBufferPool:
             new = (rng.uniform(0, 100), rng.uniform(0, 100))
             tree.update(oid, points[oid], new)
             points[oid] = new
-        assert tree.validate() == []
+        assert_verified(tree)
         for _ in range(20):
             query = random_query(rng)
             got = sorted(oid for oid, _ in tree.range_search(query))
@@ -227,7 +232,7 @@ class TestIndexesOverBufferPool:
             point = (rng.uniform(0, 1000), rng.uniform(0, 1000))
             tree.insert(oid, point)
             points[oid] = point
-        assert tree.validate() == []
+        assert_verified(tree)
         got = sorted(oid for oid, _ in tree.range_search(domain))
         assert got == sorted(points)
 

@@ -7,7 +7,7 @@ from repro.core.geometry import Rect
 from repro.core.params import CTParams
 from repro.storage.iostats import IOCategory
 from repro.storage.pager import Pager
-from tests.conftest import dwell_trail
+from tests.conftest import assert_verified, dwell_trail
 
 DOMAIN = Rect((0, 0), (1000, 1000))
 
@@ -54,7 +54,7 @@ class TestBuild:
         assert len(tree) == 12
         assert report.object_count == 12
         assert report.phase3_regions == tree.region_count
-        assert tree.validate() == []
+        assert_verified(tree)
 
     def test_build_charges_build_category(self, histories):
         builder = CTRTreeBuilder()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.geometry import Rect
+from repro.health import verify_index
 from repro.rtree import RTree, str_pack
 from repro.rtree.bulk import str_pack_columns
 from repro.rtree.node import Entry, RTreeNode
@@ -54,7 +55,7 @@ class TestStrPack:
         # dynamic-insert minimum, which is legal for bulk-loaded trees.
         points = random_points(rng, 157)
         str_pack(tree, list(points.items()))
-        problems = [p for p in tree.validate() if "fill" not in p]
+        problems = [v for v in verify_index(tree).violations if v.code != "fanout"]
         assert problems == []
 
     def test_packs_tighter_than_repeated_insertion(self, rng):
@@ -79,8 +80,9 @@ class TestStrPack:
     def test_parent_pointers_consistent(self, tree, rng):
         points = random_points(rng, 220)
         str_pack(tree, list(points.items()))
-        problems = [p for p in tree.validate() if "parent" in p]
-        assert problems == []
+        report = verify_index(tree)
+        assert report.by_code("structure") == []
+        assert report.by_code("mbr-containment") == []
 
     def test_dynamic_operations_after_pack(self, tree, rng):
         points = random_points(rng, 120)

@@ -31,6 +31,7 @@ from repro.core.params import CTParams, SimulationParams
 from repro.storage.iostats import IOCategory
 from repro.storage.pager import Pager
 from repro.storage.snapshot import build_document
+from tests.conftest import assert_verified
 
 OBJECTS = 300
 HISTORY = 20
@@ -209,7 +210,7 @@ def test_trace_exercises_every_path(replayed):
 
 def test_answers_and_structure_are_correct(replayed):
     tree = replayed["tree"]
-    assert tree.validate() == []
+    assert_verified(tree)
     got = [sorted(oid for oid, _ in found) for found in replayed["results"]]
     assert got == replayed["expected"]
 

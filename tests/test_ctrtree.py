@@ -7,7 +7,12 @@ from repro.core.geometry import Rect
 from repro.core.overflow import OWNER_QS, DataPage, NodeBuffer
 from repro.core.params import CTParams
 from repro.storage.pager import Pager
-from tests.conftest import brute_force_range, random_points, random_query
+from tests.conftest import (
+    assert_verified,
+    brute_force_range,
+    random_points,
+    random_query,
+)
 
 DOMAIN = Rect((0, 0), (1000, 1000))
 
@@ -34,13 +39,13 @@ class TestConstruction:
 
     def test_regions_become_permanent_leaf_entries(self, tree):
         assert tree.region_count == 16
-        assert tree.validate() == []
+        assert_verified(tree)
 
     def test_structural_splits_during_construction(self, pager):
         tree = CTRTree(pager, DOMAIN, grid_regions(6, 6, side=40, pitch=160), max_entries=4)
         assert tree.region_count == 36
         assert tree.height >= 2
-        assert tree.validate() == []
+        assert_verified(tree)
 
     def test_rejects_small_fanout(self, pager):
         with pytest.raises(ValueError):
@@ -118,7 +123,7 @@ class TestInsert:
         assert tree.region_count == 1  # never split
         (_, qs), = list(tree.iter_qs_entries())
         assert len(qs.chain) >= 13
-        assert tree.validate() == []
+        assert_verified(tree)
 
     def test_first_non_full_page_reused(self, tree, pager):
         pid_a = tree.insert(1, (30.0, 30.0))
@@ -141,7 +146,7 @@ class TestDelete:
         pid = tree.insert(1, (30.0, 30.0))
         tree.delete(1)
         assert not pager.contains(pid)
-        assert tree.validate() == []
+        assert_verified(tree)
 
     def test_region_survives_emptying(self, tree):
         """Paper: qs-regions "are never removed from the index (i.e. they are
@@ -154,7 +159,7 @@ class TestDelete:
         tree.insert(1, (130.0, 130.0))
         assert tree.delete(1)
         assert tree.buffered_object_count() == 0
-        assert tree.validate() == []
+        assert_verified(tree)
 
 
 class TestUpdate:
@@ -174,13 +179,13 @@ class TestUpdate:
         assert tree.relocations == 1
         assert tree.search_point((280.0, 30.0)) == [1]
         assert tree.search_point((30.0, 30.0)) == []
-        assert tree.validate() == []
+        assert_verified(tree)
 
     def test_region_to_buffer_update(self, tree):
         tree.insert(1, (30.0, 30.0))
         tree.update(1, (30.0, 30.0), (130.0, 130.0))
         assert tree.buffered_object_count() == 1
-        assert tree.validate() == []
+        assert_verified(tree)
 
     def test_buffer_to_region_update(self, tree):
         tree.insert(1, (130.0, 130.0))
@@ -210,7 +215,7 @@ class TestUpdate:
             new = (rng.uniform(0, 1000), rng.uniform(0, 1000))
             tree.update(oid, points[oid], new)
             points[oid] = new
-        assert tree.validate() == []
+        assert_verified(tree)
         for _ in range(25):
             query = random_query(rng, span=1000)
             got = sorted(oid for oid, _ in tree.range_search(query))
@@ -267,7 +272,7 @@ class TestBufferConversion:
         ]
         assert len(converted) == 1
         assert len(tree._buffer_trees[converted[0].pid]) == 12
-        assert tree.validate() == []
+        assert_verified(tree)
 
     def test_non_adaptive_tree_keeps_lists(self, pager):
         params = CTParams(t_list=1)
@@ -279,14 +284,14 @@ class TestBufferConversion:
         assert all(
             node.buffer.kind == NodeBuffer.KIND_LIST for node in tree.iter_nodes()
         )
-        assert tree.validate() == []
+        assert_verified(tree)
 
     def test_hash_pointers_follow_conversion(self, pager):
         params = CTParams(t_list=1)
         tree = CTRTree(pager, DOMAIN, grid_regions(), max_entries=4, ct_params=params)
         for i in range(10):
             tree.insert(i, (130.0 + i * 0.5, 130.0))
-        assert tree.validate() == []  # includes hash-exactness checks
+        assert_verified(tree)  # includes hash-exactness checks
 
     def test_tree_buffer_supports_lazy_updates(self, pager):
         params = CTParams(t_list=1)
@@ -335,7 +340,7 @@ class TestMixedLifecycle:
                 oid = rng.choice(list(points))
                 assert tree.delete(oid, now=float(step))
                 del points[oid]
-        assert tree.validate() == []
+        assert_verified(tree)
         assert len(tree) == len(points)
         got = sorted(oid for oid, _ in tree.range_search(Rect((0, 0), (1000, 1000))))
         assert got == sorted(points)

@@ -8,6 +8,7 @@ from repro.core.geometry import Rect
 from repro.core.overflow import OWNER_QS, DataPage, NodeBuffer
 from repro.core.params import CTParams
 from repro.storage.pager import Pager
+from tests.conftest import assert_verified
 
 DOMAIN = Rect((0, 0), (1000, 1000))
 
@@ -32,7 +33,7 @@ class TestStructuralSplitWithBuffers:
         for i in range(12):
             tree.add_qs_region(Rect((i * 70.0, 900), (i * 70.0 + 50, 950)))
         assert tree.height >= 2
-        assert tree.validate() == []
+        assert_verified(tree)
         got = sorted(oid for oid, _ in tree.range_search(DOMAIN))
         assert got == sorted(points)
 
@@ -50,7 +51,7 @@ class TestStructuralSplitWithBuffers:
         assert has_tree_buffer
         for i in range(12):
             tree.add_qs_region(Rect((i * 70.0, 900), (i * 70.0 + 50, 950)))
-        assert tree.validate() == []
+        assert_verified(tree)
         assert len(tree) == 30
 
     def test_split_moves_chain_ownership(self, rng):
@@ -72,7 +73,7 @@ class TestStructuralSplitWithBuffers:
                 page = tree.pager.inspect(pid)
                 assert isinstance(page, DataPage)
                 assert page.owner == (OWNER_QS, owner_node.pid, qs.region_id)
-        assert tree.validate() == []
+        assert_verified(tree)
 
 
 class TestNodeHelpers:
@@ -112,7 +113,7 @@ class TestRegionGeometryEdgeCases:
         assert tree.region_count == 2
         tree.insert(1, (15.0, 15.0))
         assert tree.search_point((15.0, 15.0)) == [1]
-        assert tree.validate() == []
+        assert_verified(tree)
 
     def test_nested_regions_choose_smaller(self, pager):
         outer = Rect((0, 0), (100, 100))
@@ -129,7 +130,7 @@ class TestRegionGeometryEdgeCases:
         tree.insert(1, (25.0, 25.0))
         # Single structural leaf: one node read + data-page handling.
         assert pager.stats.reads() - reads_before >= 1
-        assert tree.validate() == []
+        assert_verified(tree)
 
 
 class TestDeleteEdgeCases:
@@ -158,4 +159,4 @@ class TestDeleteEdgeCases:
         assert not pager.contains(middle_page)
         (_, qs), = list(tree.iter_qs_entries())
         assert len(qs.chain) == 2
-        assert tree.validate() == []
+        assert_verified(tree)

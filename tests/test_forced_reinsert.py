@@ -5,7 +5,12 @@ import pytest
 from repro.core.geometry import Rect
 from repro.rtree import LazyRTree, RTree
 from repro.storage.pager import Pager
-from tests.conftest import brute_force_range, random_points, random_query
+from tests.conftest import (
+    assert_verified,
+    brute_force_range,
+    random_points,
+    random_query,
+)
 
 
 def make_tree(**kwargs):
@@ -25,7 +30,7 @@ class TestConstruction:
         tree = make_tree(forced_reinsert=0.0)
         for oid, point in random_points(rng, 100).items():
             tree.insert(oid, point)
-        assert tree.validate() == []
+        assert_verified(tree)
 
 
 class TestCorrectness:
@@ -34,7 +39,7 @@ class TestCorrectness:
         points = random_points(rng, 250)
         for oid, point in points.items():
             tree.insert(oid, point)
-        assert tree.validate() == []
+        assert_verified(tree)
         assert len(tree) == 250
         for _ in range(30):
             query = random_query(rng)
@@ -55,7 +60,7 @@ class TestCorrectness:
                 points[oid] = new
             elif len(points) > 20:
                 tree.delete(oid, points.pop(oid))
-        assert tree.validate() == []
+        assert_verified(tree)
         got = sorted(oid for oid, _ in tree.range_search(Rect((0, 0), (100, 100))))
         assert got == sorted(points)
 
@@ -65,7 +70,7 @@ class TestCorrectness:
         tree = make_tree()
         for i in range(200):
             tree.insert(i, (float(i), float(i % 7)))
-        assert tree.validate() == []
+        assert_verified(tree)
         got = sorted(o for o, _ in tree.range_search(Rect((50, 0), (100, 10))))
         assert got == list(range(50, 101))
 
@@ -79,7 +84,7 @@ class TestCorrectness:
         for oid, point in enumerate(points):
             tree.insert(oid, point)
         assert tree.height >= 3
-        assert tree.validate() == []
+        assert_verified(tree)
         assert tree.search_point((1.0, 1.0)) == [12]
 
 
@@ -103,10 +108,10 @@ class TestLazyIntegration:
         points = random_points(rng, 200)
         for oid, point in points.items():
             tree.insert(oid, point)
-        assert tree.validate() == []
+        assert_verified(tree)
         for _ in range(300):
             oid = rng.choice(list(points))
             new = (rng.uniform(0, 100), rng.uniform(0, 100))
             tree.update(oid, points[oid], new)
             points[oid] = new
-        assert tree.validate() == []
+        assert_verified(tree)

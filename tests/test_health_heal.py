@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 
 from repro.citysim.trace import TraceRecord
+from repro.core.ctrtree import CTRTree
 from repro.core.geometry import Rect
 from repro.engine import FlushPolicy, UpdateBuffer, make_index
 from repro.health import (
@@ -20,6 +21,7 @@ from repro.health import (
 from repro.health.verify import VerifyReport
 from repro.storage.pager import Pager
 from repro.workload import SimulationDriver
+from tests.conftest import assert_verified
 
 DOMAIN = Rect((0.0, 0.0), (100.0, 100.0))
 
@@ -58,7 +60,7 @@ def test_wrapper_delegates_spatial_surface(rng):
     assert wrapper.delete(2) is True
     assert wrapper.delete(2) is False
     assert len(wrapper) == 1
-    assert wrapper.validate() == []
+    assert_verified(wrapper)
     assert wrapper.health_state == HealthState.HEALTHY
 
 
@@ -108,12 +110,12 @@ def test_rebuild_to_ct_kind_re_mines_trails(rng):
 def test_verify_failure_falls_back_to_lazy(rng, monkeypatch):
     real_verify = verify_index
 
-    def failing_for_ct(index, *, kind=None):
-        if kind == "ct":
+    def failing_for_ct(index):
+        if isinstance(index, CTRTree):
             report = VerifyReport(kind="ct")
             report.add("structure", "ct", "synthetic failure")
             return report
-        return real_verify(index, kind=kind)
+        return real_verify(index)
 
     monkeypatch.setattr("repro.health.heal.verify_index", failing_for_ct)
     wrapper, _ = _wrapper()

@@ -183,8 +183,9 @@ def test_cross_shard_move_failure_restores_source_shard():
     assert index.cross_shard_move_failures == 1
     assert index.cross_shard_moves == 0
     # The object is back on its source shard at its old position; the
-    # owner map never moved, so routing still works.
-    boom.explode = False
+    # owner map never moved, so routing still works.  The verifier reads
+    # the real tree the test double wraps.
+    index.shards[target_sid].index = boom.inner
     served = dict(index.range_search(DOMAIN))
     assert served == {1: (10.0, 50.0), 2: (20.0, 50.0)}
     assert verify_index(index).ok

@@ -11,7 +11,7 @@ from repro.core.params import CTParams, SimulationParams
 from repro.storage.pager import Pager
 from repro.workload import QueryWorkload, SimulationDriver, UpdateStream
 from repro.workload.driver import IndexKind, make_index
-from tests.conftest import brute_force_range
+from tests.conftest import assert_verified, brute_force_range
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +64,7 @@ class TestFullPipeline:
             answers[kind] = [
                 sorted(oid for oid, _ in index.range_search(q)) for q in queries
             ]
-            if hasattr(index, "validate"):
-                assert index.validate() == [], kind
+            assert_verified(index)
 
         oracle = [brute_force_range(final_positions, q) for q in queries]
         for kind, result in answers.items():
@@ -115,7 +114,7 @@ class TestFullPipeline:
         )
         assert report.phase3_regions == tree.region_count
         assert len(tree) == params.n_objects
-        assert tree.validate() == []
+        assert_verified(tree)
 
     def test_trace_roundtrip_preserves_experiment(self, workload, tmp_path):
         """Saving and loading the trace file must not change any result."""

@@ -12,7 +12,12 @@ from repro.health import verify_index
 from repro.rtree import AlphaTree, LazyRTree
 from repro.storage.pager import Pager
 from repro.storage.snapshot import load_index, save_index
-from tests.conftest import brute_force_range, random_points, random_query
+from tests.conftest import (
+    assert_verified,
+    brute_force_range,
+    random_points,
+    random_query,
+)
 
 
 @pytest.fixture
@@ -87,7 +92,7 @@ class TestHashConsistency:
         points = random_points(rng, 200)
         for oid, point in points.items():
             tree.insert(oid, point)
-        assert tree.validate() == []
+        assert_verified(tree)
 
     def test_pointers_exact_after_heavy_updates(self, tree, rng):
         points = random_points(rng, 100)
@@ -98,7 +103,7 @@ class TestHashConsistency:
             new = (rng.uniform(0, 100), rng.uniform(0, 100))
             tree.update(oid, points[oid], new)
             points[oid] = new
-        assert tree.validate() == []
+        assert_verified(tree)
         for _ in range(20):
             query = random_query(rng)
             got = sorted(oid for oid, _ in tree.range_search(query))
@@ -111,7 +116,7 @@ class TestHashConsistency:
         for oid in list(points)[::2]:
             assert tree.delete(oid)
             del points[oid]
-        assert tree.validate() == []
+        assert_verified(tree)
 
     def test_shared_hash_index_across_trees(self, pager):
         from repro.hashindex import HashIndex
@@ -244,8 +249,7 @@ class TestApplyBatch:
 
             assert sorted(batched.range_search(DOMAIN)) == sorted(positions.items())
             assert sorted(twin.range_search(DOMAIN)) == sorted(positions.items())
-            assert batched.validate() == []
-            assert verify_index(batched).ok
+            assert_verified(batched)
             assert len(batched) == len(twin) == len(positions)
             assert batched.lazy_hits + batched.relocations == moves
             assert twin.lazy_hits + twin.relocations == moves
@@ -272,7 +276,7 @@ class TestApplyBatch:
         assert sorted(tree.range_search(DOMAIN)) == sorted(points.items())
         assert len(tree) == 61
         assert tree.lazy_hits + tree.relocations == 2
-        assert tree.validate() == []
+        assert_verified(tree)
 
     def test_insert_of_an_indexed_id_is_a_move(self, rng):
         tree, points = _build(LazyRTree, rng, 60)
@@ -281,7 +285,7 @@ class TestApplyBatch:
         )
         points[9] = (42.0, 42.0)
         assert sorted(tree.range_search(DOMAIN)) == sorted(points.items())
-        assert tree.validate() == []
+        assert_verified(tree)
 
     @pytest.mark.parametrize("cls", [LazyRTree, AlphaTree])
     def test_unknown_id_raises_before_anything_changes(self, cls, rng):
@@ -296,7 +300,7 @@ class TestApplyBatch:
         assert tree.pager.stats.writes() == writes
         assert sorted(tree.range_search(DOMAIN)) == sorted(points.items())
         assert (tree.lazy_hits, tree.relocations) == (0, 0)
-        assert tree.validate() == []
+        assert_verified(tree)
 
     @pytest.mark.parametrize("dim, wrong", [(3, 2), (2, 3), (2, 1)])
     def test_a_point_of_another_dimension_loses_no_object(self, dim, wrong, rng):
@@ -441,7 +445,7 @@ class TestApplyBatch:
         assert all(point in (points[oid], targets.get(oid)) for oid, point in held)
         assert tree.tree.on_entries_moved == tree._entries_moved
         # The injected pointer is the only damage left behind ...
-        assert all("object 149 " in problem for problem in tree.validate())
+        assert verify_index(tree).by_code() == {"hash-stale": 1}
         # ... and once it is repaired the same batch applies again cleanly.
         home = next(
             leaf.pid for leaf in tree.tree.iter_leaves() if leaf.find_entry(149) is not None
@@ -450,7 +454,7 @@ class TestApplyBatch:
         assert tree.apply_batch(batch) == len(batch)
         points.update(targets)
         assert sorted(tree.range_search(DOMAIN)) == sorted(points.items())
-        assert tree.validate() == []
+        assert_verified(tree)
 
     def test_tree_loaded_from_a_snapshot_takes_batches(self, rng, tmp_path):
         original, points = _build(LazyRTree, rng, 150)
@@ -461,4 +465,4 @@ class TestApplyBatch:
         points.update((update.oid, update.point) for update in batch)
         assert sorted(tree.range_search(DOMAIN)) == sorted(points.items())
         assert tree.relocations > 0
-        assert tree.validate() == []
+        assert_verified(tree)

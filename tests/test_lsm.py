@@ -19,6 +19,7 @@ from repro.storage.snapshot import (
     load_index,
     save_index,
 )
+from tests.conftest import assert_verified
 
 DOMAIN = Rect((0.0, 0.0), (1000.0, 1000.0))
 
@@ -116,7 +117,7 @@ class TestDelete:
         lsm.insert(2, (500.0, 500.0), now=99.0)
         assert len(lsm) == 8
         assert dict(lsm.range_search(DOMAIN))[2] == (500.0, 500.0)
-        assert lsm.validate() == []
+        assert_verified(lsm)
 
 
 class TestQuerySuppression:
@@ -180,7 +181,7 @@ class TestCompaction:
         assert info is not None and info["runs_merged"] == 2
         assert lsm.run_count == 1
         assert len(lsm.runs[0]) == 16
-        assert lsm.validate() == []
+        assert_verified(lsm)
 
     def test_auto_compact_runs_to_quiescence(self):
         lsm = small_lsm(size_ratio=2)
@@ -198,7 +199,7 @@ class TestCompaction:
         assert lsm.compaction_needed() is not None
         lsm.maybe_compact()
         assert lsm.run_count <= 2
-        assert lsm.validate() == []
+        assert_verified(lsm)
 
     def test_merge_drops_superseded_versions(self):
         lsm = small_lsm(size_ratio=2, auto_compact=False)
@@ -225,7 +226,7 @@ class TestCompaction:
         assert list(lsm.runs[0].tombstones) == []
         assert lsm.compaction.tombstones_dropped == 1
         assert 3 not in dict(lsm.range_search(DOMAIN))
-        assert lsm.validate() == []
+        assert_verified(lsm)
 
     def test_merge_frees_window_pages(self):
         lsm = small_lsm(size_ratio=2, auto_compact=False)
@@ -267,8 +268,7 @@ class TestColumnEdgeCases:
         assert sorted(dict(lsm.range_search(DOMAIN))) == [
             oid for oid in range(16) if oid not in (3, 5)
         ]
-        assert lsm.validate() == []
-        assert verify_index(lsm).ok
+        assert_verified(lsm)
 
     def test_window_that_resolves_to_nothing_leaves_no_run(self):
         lsm = small_lsm(size_ratio=2, auto_compact=False)
@@ -292,7 +292,7 @@ class TestColumnEdgeCases:
         assert 2 not in lsm.runs[0].oids and 9 not in lsm.runs[0].oids
         assert dict(lsm.range_search(DOMAIN))[2] == (500.0, 500.0)
         assert len(lsm) == 15
-        assert lsm.validate() == []
+        assert_verified(lsm)
 
     def test_one_dimensional_points(self):
         lsm = small_lsm(size_ratio=2)
@@ -302,7 +302,7 @@ class TestColumnEdgeCases:
             lsm.update(oid, None, (float(oid) + 100.0,), now=100.0 + oid)
         found = dict(lsm.range_search(Rect((100.0,), (200.0,))))
         assert found == {oid: (float(oid) + 100.0,) for oid in range(0, 40, 3)}
-        assert lsm.validate() == []
+        assert_verified(lsm)
 
     def test_integer_and_negative_zero_coordinates_store_as_floats(self):
         lsm = small_lsm(size_ratio=2)
@@ -401,7 +401,7 @@ class TestSnapshot:
         assert loaded.config == lsm.config
         assert loaded.run_count == lsm.run_count
         assert dict(loaded.range_search(DOMAIN)) == dict(lsm.range_search(DOMAIN))
-        assert loaded.validate() == []
+        assert_verified(loaded)
 
     def test_save_load_save_is_byte_stable(self):
         lsm = self._populated()
@@ -428,7 +428,7 @@ class TestSnapshot:
         fill(loaded, 40, start=100)
         loaded.flush(reason="final")
         loaded.maybe_compact()
-        assert loaded.validate() == []
+        assert_verified(loaded)
         assert len(loaded) == 19 + 40
 
 
@@ -458,9 +458,8 @@ class TestVerify:
             drift(lsm._live)
             report = verify_index(lsm)
             assert not report.ok
-            flagged = [v for v in report.violations if v.code == "lsm-live-set"]
-            assert len(flagged) == 1 and needle in flagged[0].message
-            assert len(lsm.validate()) == 1
+            assert report.by_code() == {"lsm-live-set": 1}
+            assert needle in report.violations[0].message
 
     def test_side_table_disagreement_is_flagged(self):
         lsm = self._populated()

@@ -27,6 +27,7 @@ from repro.engine.registry import make_index
 from repro.storage.iostats import IOCategory
 from repro.storage.pager import Pager
 from repro.storage.snapshot import build_document
+from tests.conftest import assert_verified
 
 OBJECTS = 400
 HISTORY = 3
@@ -206,7 +207,7 @@ def test_trace_exercises_every_path(replayed):
 def test_final_state_is_the_replayed_one(replayed):
     index = replayed["index"]
     assert dict(index.iter_objects()) == replayed["live"]
-    assert index.validate() == []
+    assert_verified(index)
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))

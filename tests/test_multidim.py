@@ -13,6 +13,7 @@ from repro.core.params import CTParams
 from repro.core.qsregion import identify_qs_regions
 from repro.rtree import LazyRTree, RTree
 from repro.storage.pager import Pager
+from tests.conftest import assert_verified
 
 DOMAIN_3D = Rect((0, 0, 0), (100, 100, 100))
 
@@ -54,7 +55,7 @@ class TestRTree3D:
         points = random_points_3d(rng, 150)
         for oid, point in points.items():
             tree.insert(oid, point)
-        assert tree.validate() == []
+        assert_verified(tree)
         for _ in range(25):
             lo = tuple(rng.uniform(0, 60) for _ in range(3))
             hi = tuple(c + rng.uniform(10, 40) for c in lo)
@@ -63,7 +64,7 @@ class TestRTree3D:
             assert got == brute(points, query)
         for oid in list(points)[:50]:
             assert tree.delete(oid, points.pop(oid))
-        assert tree.validate() == []
+        assert_verified(tree)
 
     def test_knn_3d(self, rng):
         tree = RTree(Pager(), max_entries=6)
@@ -84,7 +85,7 @@ class TestRTree3D:
             new = (p[0] + 0.5, p[1] + 0.5, p[2] + 0.5)
             tree.update(oid, p, new)
             points[oid] = new
-        assert tree.validate() == []
+        assert_verified(tree)
         assert tree.lazy_hits > 0
 
 
@@ -126,12 +127,12 @@ class TestCTRTree3D:
                 point = (rng.uniform(0, 100), rng.uniform(0, 100), rng.uniform(0, 100))
             tree.insert(oid, point)
             points[oid] = point
-        assert tree.validate() == []
+        assert_verified(tree)
         for oid in list(points)[:30]:
             new = tuple(min(max(c + rng.gauss(0, 2), 0), 100) for c in points[oid])
             tree.update(oid, points[oid], new)
             points[oid] = new
-        assert tree.validate() == []
+        assert_verified(tree)
         query = Rect((0, 0, 0), (50, 50, 50))
         got = sorted(oid for oid, _ in tree.range_search(query))
         assert got == brute(points, query)
@@ -155,7 +156,7 @@ class TestFourDimensions:
         }
         for oid, point in points.items():
             tree.insert(oid, point)
-        assert tree.validate() == []
+        assert_verified(tree)
         query = Rect((0, 0, 0, 0), (5, 5, 5, 5))
         got = sorted(oid for oid, _ in tree.range_search(query))
         assert got == brute(points, query)

@@ -12,6 +12,7 @@ from repro.core.ctrtree import CTRTree
 from repro.core.geometry import Rect
 from repro.core.params import CTParams
 from repro.storage.pager import Pager
+from tests.conftest import assert_verified
 
 DOMAIN_1D = Rect((-1000.0,), (1000.0,))
 
@@ -47,9 +48,9 @@ def test_ct_1d_matches_bptree(steps):
             lazy.delete(oid)
             del oracle[oid]
 
-    assert ct.validate() == []
-    assert bpt.validate() == []
-    assert lazy.validate() == []
+    assert_verified(ct)
+    assert_verified(bpt)
+    assert_verified(lazy)
     for low, high in ((-1000.0, 1000.0), (-50.0, 50.0), (0.0, 200.0)):
         expected = sorted(oid for oid, v in oracle.items() if low <= v <= high)
         assert sorted(oid for oid, _ in ct.range_search(Rect((low,), (high,)))) == expected

@@ -22,6 +22,7 @@ from repro.rtree.node import Entry, SoAEntries
 from repro.rtree.rtree import RTree
 from repro.storage.pager import Pager
 from repro.storage.snapshot import build_document
+from tests.conftest import assert_verified
 
 #: A small coordinate alphabet, so points repeat and land on each other's
 #: MBR edges; integers exercise the float coercion, -0.0 its sign.
@@ -85,7 +86,7 @@ def test_packed_insert_matches_the_entry_insert(config, points):
     tree, *observed = _replay(config, points, packed=True)
     _reference, *expected = _replay(config, points, packed=False)
     assert observed == expected
-    assert tree.validate() == []
+    assert_verified(tree)
     assert sorted(tree.iter_objects()) == sorted(
         (oid, tuple(map(float, point))) for oid, point in enumerate(points)
     )

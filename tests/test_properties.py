@@ -17,7 +17,7 @@ from repro.core.params import CTParams
 from repro.core.qsregion import identify_qs_regions
 from repro.rtree import AlphaTree, LazyRTree, RTree
 from repro.storage.pager import Pager
-from tests.conftest import brute_force_range, dwell_trail
+from tests.conftest import assert_verified, brute_force_range, dwell_trail
 
 DOMAIN = Rect((0, 0), (1000, 1000))
 
@@ -55,7 +55,7 @@ def apply_workload(index, steps, needs_old_point):
 def test_rtree_agrees_with_oracle(steps):
     tree = RTree(Pager(), max_entries=5)
     oracle = apply_workload(tree, steps, needs_old_point=True)
-    assert tree.validate() == []
+    assert_verified(tree)
     assert sorted(o for o, _ in tree.range_search(DOMAIN)) == sorted(oracle)
 
 
@@ -64,7 +64,7 @@ def test_rtree_agrees_with_oracle(steps):
 def test_lazy_rtree_agrees_with_oracle(steps):
     tree = LazyRTree(Pager(), max_entries=5)
     oracle = apply_workload(tree, steps, needs_old_point=False)
-    assert tree.validate() == []
+    assert_verified(tree)
     assert sorted(o for o, _ in tree.range_search(DOMAIN)) == sorted(oracle)
 
 
@@ -73,7 +73,7 @@ def test_lazy_rtree_agrees_with_oracle(steps):
 def test_alpha_tree_agrees_with_oracle(steps):
     tree = AlphaTree(Pager(), max_entries=5)
     oracle = apply_workload(tree, steps, needs_old_point=False)
-    assert tree.validate() == []
+    assert_verified(tree)
     assert sorted(o for o, _ in tree.range_search(DOMAIN)) == sorted(oracle)
 
 
@@ -92,7 +92,7 @@ def test_ctrtree_agrees_with_oracle(steps, region_layout):
         max_entries=5, ct_params=CTParams(t_list=1, t_buf_num=4, t_buf_time=3.0),
     )
     oracle = apply_workload(tree, steps, needs_old_point=False)
-    assert tree.validate() == []
+    assert_verified(tree)
     assert sorted(o for o, _ in tree.range_search(DOMAIN)) == sorted(oracle)
 
 
@@ -141,7 +141,7 @@ def test_phase1_to_ct_pipeline_property(seed, n_spots):
     in_region = 0
     for i, (pt, _t) in enumerate(trail):
         tree.insert(i, pt)
-    assert tree.validate() == []
+    assert_verified(tree)
     in_region = len(trail) - tree.buffered_object_count()
     if regions:
         assert in_region / len(trail) > 0.5

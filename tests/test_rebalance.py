@@ -432,7 +432,7 @@ class TestApplyPartitionInline:
         assert after == before
         for oid, p in positions.items():
             assert index.owner_of(oid) == new.shard_for(oid, p)
-        report = verify_index(index, kind=IndexKind.LAZY)
+        report = verify_index(index)
         assert report.ok, report.violations
 
     def test_migration_is_build_io_only(self):
@@ -516,7 +516,7 @@ class TestApplyPartitionInline:
         index.update(0, positions[0], (99.0, 99.0), now=2000.0)
         index.update(0, (99.0, 99.0), (1.0, 1.0), now=2001.0)
         assert index.cross_shard_moves == moves_before
-        report = verify_index(index, kind=IndexKind.LAZY)
+        report = verify_index(index)
         assert report.ok, report.violations
 
 
@@ -554,7 +554,7 @@ class TestRebalancerOnEngine:
         assert index.rebalances == rb.rebalances
         assert rb.events[0]["skew"] >= 1.8
         assert len(index) == len(positions)
-        report = verify_index(index, kind=IndexKind.LAZY)
+        report = verify_index(index)
         assert report.ok, report.violations
         doc = index.engine_dict()
         assert doc["rebalances"] == rb.rebalances
@@ -689,7 +689,7 @@ class TestApplyPartitionParallel:
             assert len(par) == len(positions)
             got = sorted(oid for oid, _ in par.range_search(DOMAIN))
             assert got == sorted(positions)
-            report = verify_index(par, kind=IndexKind.LAZY)
+            report = verify_index(par)
             assert report.ok, report.violations
         finally:
             par.close()
@@ -707,7 +707,7 @@ class TestApplyPartitionParallel:
             positions = runner._run_hot_workload(par, par.pager.stats)
             assert rb.rebalances >= 1
             assert len(par) == len(positions)
-            report = verify_index(par, kind=IndexKind.LAZY)
+            report = verify_index(par)
             assert report.ok, report.violations
         finally:
             par.close()

@@ -196,9 +196,9 @@ def test_midrun_rebalance_keeps_inline_parallel_parity(ops, boundaries, cut):
         got = sorted(par.range_search(DOMAIN))
         assert got == sorted(inline.range_search(DOMAIN))
         assert sorted(oid for oid, _ in got) == sorted(oracle)
-        report = verify_index(inline, kind=IndexKind.LAZY)
+        report = verify_index(inline)
         assert report.ok, report.violations
-        report = verify_index(par, kind=IndexKind.LAZY)
+        report = verify_index(par)
         assert report.ok, report.violations
     finally:
         par.close()

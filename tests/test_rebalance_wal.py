@@ -54,4 +54,4 @@ def test_crash_images_after_a_rebalance_recover_the_acked_ledger(tmp_path):
         assert report.gap_at_seq == 0
         assert recovered.position_map() == acked, image.name
         assert report.verify_ok, report.verify_violations
-        assert verify_index(recovered, kind="sharded").ok
+        assert verify_index(recovered).ok

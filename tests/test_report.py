@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.report import ALL_SECTIONS, generate_report, write_report
+from tests.conftest import assert_verified
 
 
 class TestGenerateReport:
@@ -61,4 +62,4 @@ class TestReportCLI:
         assert main(["build", str(trace), "--history", "20", "--save", str(snap)]) == 0
         tree = load_index(snap)
         assert len(tree) == 40
-        assert tree.validate() == []
+        assert_verified(tree)

@@ -7,9 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.geometry import Rect
+from repro.health import verify_index
 from repro.rtree import RTree
 from repro.storage.pager import Pager
-from tests.conftest import brute_force_range, random_points, random_query
+from tests.conftest import (
+    assert_verified,
+    brute_force_range,
+    random_points,
+    random_query,
+)
 
 
 @pytest.fixture
@@ -63,7 +69,7 @@ class TestInsertSearch:
         points = random_points(rng, 200)
         for oid, point in points.items():
             tree.insert(oid, point)
-        assert tree.validate() == []
+        assert_verified(tree)
         assert tree.height >= 3
 
     def test_range_search_matches_brute_force(self, tree, rng):
@@ -79,12 +85,12 @@ class TestInsertSearch:
         for i in range(30):
             tree.insert(i, (1.0, 1.0))
         assert sorted(tree.search_point((1.0, 1.0))) == list(range(30))
-        assert tree.validate() == []
+        assert_verified(tree)
 
     def test_collinear_points(self, tree):
         for i in range(50):
             tree.insert(i, (float(i), 0.0))
-        assert tree.validate() == []
+        assert_verified(tree)
         got = sorted(oid for oid, _ in tree.range_search(Rect((10, -1), (20, 1))))
         assert got == list(range(10, 21))
 
@@ -108,7 +114,7 @@ class TestDelete:
         for oid, point in points.items():
             assert tree.delete(oid, point)
         assert len(tree) == 0
-        assert tree.validate() == []
+        assert_verified(tree)
         tree.insert(99, (1, 1))
         assert tree.search_point((1, 1)) == [99]
 
@@ -119,7 +125,7 @@ class TestDelete:
         victims = list(points)[::3]
         for oid in victims:
             assert tree.delete(oid, points.pop(oid))
-        assert tree.validate() == []
+        assert_verified(tree)
         for _ in range(25):
             query = random_query(rng)
             got = sorted(oid for oid, _ in tree.range_search(query))
@@ -133,7 +139,7 @@ class TestDelete:
         for oid, point in list(points.items())[:195]:
             tree.delete(oid, point)
         assert tree.height < tall
-        assert tree.validate() == []
+        assert_verified(tree)
 
 
 class TestDeleteAt:
@@ -199,7 +205,7 @@ class TestCharging:
             tree.insert(oid, point)
         total = pager.stats.total()
         list(tree.iter_objects())
-        tree.validate()
+        verify_index(tree)
         tree.node_count()
         assert pager.stats.total() == total
 
@@ -217,7 +223,7 @@ class TestSplitPolicies:
             new = (rng.uniform(0, 100), rng.uniform(0, 100))
             tree.update(oid, points[oid], new)
             points[oid] = new
-        assert tree.validate() == []
+        assert_verified(tree)
         for _ in range(20):
             query = random_query(rng)
             got = sorted(oid for oid, _ in tree.range_search(query))
@@ -240,7 +246,7 @@ def test_property_insert_then_validate(points):
     tree = RTree(pager, max_entries=5)
     for oid, point in enumerate(points):
         tree.insert(oid, point)
-    assert tree.validate() == []
+    assert_verified(tree)
     assert sorted(oid for oid, _ in tree.iter_objects()) == list(range(len(points)))
 
 
@@ -271,6 +277,6 @@ def test_property_mixed_workload(points, rnd):
             new = (rnd.uniform(0, 100), rnd.uniform(0, 100))
             tree.update(oid, alive[oid], new)
             alive[oid] = new
-    assert tree.validate() == []
+    assert_verified(tree)
     query = Rect((0, 0), (100, 100))
     assert sorted(o for o, _ in tree.range_search(query)) == sorted(alive)

@@ -76,7 +76,7 @@ def test_updates_queries_and_graceful_shutdown():
         daemon.join()
         assert daemon.error is None
         assert service.applied == 3
-        assert verify_index(service.index, kind=service.kind).ok
+        assert verify_index(service.index).ok
     finally:
         daemon.shutdown()
 

@@ -18,7 +18,12 @@ from repro.storage.snapshot import (
     load_index,
     save_index,
 )
-from tests.conftest import brute_force_range, random_points, random_query
+from tests.conftest import (
+    assert_verified,
+    brute_force_range,
+    random_points,
+    random_query,
+)
 
 DOMAIN = Rect((0, 0), (1000, 1000))
 
@@ -40,7 +45,7 @@ class TestLazyRTreeSnapshot:
         path = save_index(tree, tmp_path / "lazy.json")
         loaded = load_index(path)
         assert len(loaded) == len(points)
-        assert loaded.validate() == []
+        assert_verified(loaded)
         for _ in range(15):
             query = random_query(rng)
             got = sorted(oid for oid, _ in loaded.range_search(query))
@@ -54,7 +59,7 @@ class TestLazyRTreeSnapshot:
         oid = next(iter(points))
         loaded.update(oid, points[oid], (1.0, 1.0))
         assert loaded.delete(oid)
-        assert loaded.validate() == []
+        assert_verified(loaded)
 
     def test_configuration_preserved(self, rng, tmp_path):
         tree = AlphaTree(Pager(), max_entries=8, alpha=0.25)
@@ -91,7 +96,7 @@ class TestCTRTreeSnapshot:
         loaded = load_index(path)
         assert len(loaded) == len(points)
         assert loaded.region_count == tree.region_count
-        assert loaded.validate() == []
+        assert_verified(loaded)
         for _ in range(15):
             query = random_query(rng, span=1000)
             got = sorted(oid for oid, _ in loaded.range_search(query))
@@ -114,7 +119,7 @@ class TestCTRTreeSnapshot:
         assert loaded.search_point((150.0, 140.0)) == [oid]
         loaded.insert(4242, (150.5, 140.5), now=1001.0)
         assert loaded.delete(4242, now=1002.0)
-        assert loaded.validate() == []
+        assert_verified(loaded)
 
     def test_params_and_counters_preserved(self, rng, tmp_path):
         tree, _ = self.build(rng)
@@ -136,7 +141,7 @@ class TestCTRTreeSnapshot:
             offset = (i % 7) * 0.4
             loaded.insert(5000 + i, (900.0 + offset, 900.0 + offset / 2.0), now=t)
         assert loaded.adaptation.promotions >= 1
-        assert loaded.validate() == []
+        assert_verified(loaded)
 
 
 class TestPooledSnapshot:

@@ -9,6 +9,7 @@ from repro.core.params import CTParams
 from repro.rtree import LazyRTree
 from repro.storage.pager import Pager
 from repro.storage.snapshot import load_index, save_index
+from tests.conftest import assert_verified
 
 DOMAIN = Rect((0, 0), (1000, 1000))
 
@@ -54,7 +55,7 @@ def test_lazy_rtree_roundtrip_preserves_answers(tmp_path_factory, steps):
     save_index(tree, path)
     loaded = load_index(path)
     assert answers(loaded) == answers(tree)
-    assert loaded.validate() == []
+    assert_verified(loaded)
     assert len(loaded) == len(tree)
 
 
@@ -70,7 +71,7 @@ def test_ctrtree_roundtrip_preserves_answers(tmp_path_factory, steps):
     save_index(tree, path)
     loaded = load_index(path)
     assert answers(loaded) == answers(tree)
-    assert loaded.validate() == []
+    assert_verified(loaded)
     assert loaded.region_count == tree.region_count
 
 
@@ -110,4 +111,4 @@ def test_ctrtree_post_reload_workload_equivalence(tmp_path_factory, before, afte
                 tree.delete(oid)
                 oracle.pop(oid)
     assert answers(resumed) == answers(continuous)
-    assert resumed.validate() == []
+    assert_verified(resumed)
